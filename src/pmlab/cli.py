@@ -152,7 +152,11 @@ def _emit(path, cfg, header, rows, json_payload):
 
 
 def _get_density(cfg, alpha=None, tol=None):
-    """Cache-backed density for the configured mesh."""
+    """Cache-backed density for the configured mesh.
+
+    Only converged records are stored, and a stored unconverged one (from
+    an older version) is recomputed: ``max_iter`` is not part of the key.
+    """
     alpha = cfg["alpha"] if alpha is None else alpha
     tol = cfg["tol"] if tol is None else tol
     p = MapParams(alpha)
@@ -160,9 +164,10 @@ def _get_density(cfg, alpha=None, tol=None):
     key = cache_key(alpha, mesh.spec(), tol)
     cache = DensityCache(resolve_cache_dir(cfg["cache_dir"]))
     rec = cache.get(key)
-    if rec is None:
+    if rec is None or not rec.converged:
         rec = compute_density(p, mesh, tol=tol, max_iter=cfg["max_iter"])
-        cache.put(key, rec)
+        if rec.converged:
+            cache.put(key, rec)
     return p, rec, key
 
 

@@ -5,7 +5,14 @@ nodal values u on a singularity-graded ``Mesh``.  Quadrature integrates the
 piecewise-linear interpolant of u against the exact x^(-s) cell moments (so
 it is linear and positive in u), differentiation uses the product rule with
 3-point nonuniform stencils on u, and point evaluation uses monotone
-piecewise-cubic (PCHIP) interpolation of u.
+piecewise-cubic (PCHIP) interpolation of u, split into cell brackets and
+cubic Hermite weights of the query points (``hermite_weights``) and their
+application to u and its slopes (``hermite_apply``), so that fixed query
+points pay for the weights once.
+
+Everything that depends only on the mesh (cell widths, x^(-s) moments,
+PCHIP and stencil weights, and the per-alpha pullback data of ``transfer``)
+is memoized in ``Mesh.cached`` and lives exactly as long as the mesh.
 
 Meshes are built as the union of the neutral-orbit points g_a^l(1), a
 geometric refinement down to ``x_min`` and a polynomially graded bulk; below
@@ -75,26 +82,23 @@ class Mesh:
     def size(self) -> int:
         return self.nodes.size
 
-    @property
-    def widths(self) -> np.ndarray:
-        try:
-            return self._cache["widths"]
-        except KeyError:
-            w = np.diff(self.nodes)
-            w.setflags(write=False)
-            self._cache["widths"] = w
-            return w
-
-    def moments(self, s: float):
-        """Exact cell moments (M0, M1) of x^(-s): integrals of x^(-s) and
-        x^(1-s) over each cell, plus the [0, x_min] tail of x^(-s)."""
-        key = ("mom", float(s))
+    def cached(self, key, build):
+        """``build()``, computed once per key and kept as long as the mesh."""
         try:
             return self._cache[key]
         except KeyError:
-            m = _cell_moments(self.nodes, s)
-            self._cache[key] = m
-            return m
+            val = self._cache[key] = build()
+            return val
+
+    @property
+    def widths(self) -> np.ndarray:
+        return self.cached("widths", lambda: _frozen(np.diff(self.nodes)))
+
+    def moments(self, s: float):
+        """Exact cell moments of x^(-s): the integrals of x^(-s) and of
+        (x - xbar) x^(-s) over each cell (xbar the cell midpoint), plus the
+        [0, x_min] tail of x^(-s)."""
+        return self.cached(("mom", float(s)), lambda: _cell_moments(self.nodes, s))
 
     def spec(self) -> dict:
         return {
@@ -105,6 +109,12 @@ class Mesh:
             "grading_exponent": float(self.grading_exponent),
             "size": int(self.size),
         }
+
+
+def _frozen(*arrays):
+    for arr in arrays:
+        arr.setflags(write=False)
+    return arrays[0] if len(arrays) == 1 else arrays
 
 
 def _power_diff(a, b, q):
@@ -119,10 +129,9 @@ def _cell_moments(nodes, s):
     a, b = nodes[:-1], nodes[1:]
     m0 = _power_diff(a, b, 1.0 - s) / (1.0 - s)
     m1 = _power_diff(a, b, 2.0 - s) / (2.0 - s)
+    xbar = 0.5 * (a + b)
     tail = nodes[0] ** (1.0 - s) / (1.0 - s)
-    for arr in (m0, m1):
-        arr.setflags(write=False)
-    return m0, m1, tail
+    return (*_frozen(m0, m1 - xbar * m0), tail)
 
 
 def build_mesh(p: MapParams, n: int, L: int, x_min: float = 1e-10) -> Mesh:
@@ -253,7 +262,7 @@ class GridFunction:
         try:
             return self._cache["slopes"]
         except KeyError:
-            d = _pchip_slopes(self.mesh.nodes, self.values)
+            d = _pchip_slopes(self.mesh, self.values)
             d.setflags(write=False)
             self._cache["slopes"] = d
             return d
@@ -308,16 +317,20 @@ class GridFunction:
 # ---------------------------------------------------------------------------
 
 
-def _pchip_slopes(x: np.ndarray, u: np.ndarray) -> np.ndarray:
-    h = np.diff(x)
+def _pchip_slopes(mesh: Mesh, u: np.ndarray) -> np.ndarray:
+    h = mesh.widths
     m = np.diff(u) / h
     d = np.zeros_like(u)
-    hk, hk1 = h[1:], h[:-1]
     mk, mk1 = m[1:], m[:-1]
-    w1 = 2.0 * hk + hk1
-    w2 = hk + 2.0 * hk1
+
+    def weights():
+        w1 = 2.0 * h[1:] + h[:-1]
+        w2 = h[1:] + 2.0 * h[:-1]
+        return _frozen(w1, w2, w1 + w2)
+
+    w1, w2, w12 = mesh.cached("pchip", weights)
     with np.errstate(divide="ignore", invalid="ignore"):
-        whm = (w1 + w2) / (w1 / mk1 + w2 / mk)
+        whm = w12 / (w1 / mk1 + w2 / mk)
     d[1:-1] = np.where(np.sign(mk1) * np.sign(mk) > 0, whm, 0.0)
 
     def edge(h0, h1, m0, m1):
@@ -333,35 +346,35 @@ def _pchip_slopes(x: np.ndarray, u: np.ndarray) -> np.ndarray:
     return d
 
 
-def _hermite_eval(x, u, d, xq, idx):
+def hermite_weights(mesh: Mesh, xq):
+    """Cell indices (i, i+1) and the four cubic Hermite basis weights at xq.
+
+    Points below x_min are clipped to it, where the weights are (1, 0, 0, 0):
+    the constant extension of u.
+    """
+    x = mesh.nodes
+    xq = np.asarray(xq, dtype=float)
+    idx = np.clip(np.searchsorted(x, xq, side="right") - 1, 0, x.size - 2)
     x0 = x[idx]
     hh = x[idx + 1] - x0
-    t = (xq - x0) / hh
+    t = (np.clip(xq, x[0], 1.0) - x0) / hh
     t2 = t * t
     t3 = t2 * t
-    return (
-        (2.0 * t3 - 3.0 * t2 + 1.0) * u[idx]
-        + hh * (t3 - 2.0 * t2 + t) * d[idx]
-        + (3.0 * t2 - 2.0 * t3) * u[idx + 1]
-        + hh * (t3 - t2) * d[idx + 1]
-    )
+    w = (2.0 * t3 - 3.0 * t2 + 1.0, hh * (t3 - 2.0 * t2 + t), 3.0 * t2 - 2.0 * t3,
+         hh * (t3 - t2))
+    return _frozen(idx, idx + 1, np.stack(w))
 
 
-def bracket_indices(mesh: Mesh, xq: np.ndarray) -> np.ndarray:
-    """Cell index per query point, clipped to valid cells (reusable)."""
-    return np.clip(np.searchsorted(mesh.nodes, xq, side="right") - 1, 0, mesh.size - 2)
+def hermite_apply(f: GridFunction, weights) -> np.ndarray:
+    """PCHIP interpolant of f's regular factor u at the points of ``weights``."""
+    i0, i1, w = weights
+    u, d = f.values, f._slopes()
+    return w[0] * u[i0] + w[1] * d[i0] + w[2] * u[i1] + w[3] * d[i1]
 
 
-def evaluate_u(f: GridFunction, xq, idx=None):
+def evaluate_u(f: GridFunction, xq):
     """Interpolate the regular factor u at xq; constant below x_min."""
-    x = f.mesh.nodes
-    xq = np.asarray(xq, dtype=float)
-    if idx is None:
-        idx = bracket_indices(f.mesh, xq)
-    out = _hermite_eval(x, f.values, f._slopes(), np.clip(xq, x[0], 1.0), idx)
-    if np.any(xq < x[0]):
-        out = np.where(xq < x[0], f.values[0], out)
-    return out
+    return hermite_apply(f, hermite_weights(f.mesh, xq))
 
 
 def evaluate(f: GridFunction, x):
@@ -397,13 +410,11 @@ def integrate(f: GridFunction) -> float:
     u(x_min) and the tail integral is added analytically.  Linear and
     positive in the nodal values.
     """
-    m0, m1, tail = f.mesh.moments(f.s)
-    x = f.mesh.nodes
+    m0, m1c, tail = f.mesh.moments(f.s)
     u = f.values
     ubar = 0.5 * (u[:-1] + u[1:])
     slope = np.diff(u) / f.mesh.widths
-    xbar = 0.5 * (x[:-1] + x[1:])
-    cells = ubar * m0 + slope * (m1 - xbar * m0)
+    cells = ubar * m0 + slope * m1c
     return float(np.sum(cells) + u[0] * tail)
 
 
@@ -413,12 +424,11 @@ def integrate_to(f: GridFunction, upper: float) -> float:
     j = int(np.searchsorted(x, upper))
     if j >= x.size or abs(x[j] - upper) > 1e-12 * max(upper, 1.0):
         raise ValueError("integrate_to: upper bound must be a mesh node")
-    m0, m1, tail = f.mesh.moments(f.s)
+    m0, m1c, tail = f.mesh.moments(f.s)
     u = f.values
     ubar = 0.5 * (u[:j] + u[1 : j + 1])
     slope = (u[1 : j + 1] - u[:j]) / f.mesh.widths[:j]
-    xbar = 0.5 * (x[:j] + x[1 : j + 1])
-    cells = ubar * m0[:j] + slope * (m1[:j] - xbar * m0[:j])
+    cells = ubar * m0[:j] + slope * m1c[:j]
     return float(np.sum(cells) + u[0] * tail)
 
 
@@ -431,13 +441,8 @@ def l1_norm(f: GridFunction) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _three_point_weights(mesh: Mesh):
+def _three_point_weights(x: np.ndarray) -> np.ndarray:
     """Per-node 3-point first-derivative weights (constants annihilated)."""
-    try:
-        return mesh._cache["d1w"]
-    except KeyError:
-        pass
-    x = mesh.nodes
     n = x.size
     w = np.zeros((n, 3))  # contributions of (left, self, right) neighbours
     h = np.diff(x)
@@ -454,14 +459,12 @@ def _three_point_weights(mesh: Mesh):
     w[-1, 1] = -(ha + hb) / (ha * hb)  # weight of node n-2
     w[-1, 0] = hb / (ha * (ha + hb))  # weight of node n-3
     w[-1, 2] = -(w[-1, 0] + w[-1, 1])  # weight of node n-1 itself
-    w.setflags(write=False)
-    mesh._cache["d1w"] = w
     return w
 
 
 def _u_derivative(mesh: Mesh, u: np.ndarray) -> np.ndarray:
     # difference form: constants are annihilated exactly, not just to rounding
-    w = _three_point_weights(mesh)
+    w = mesh.cached("d1w", lambda: _frozen(_three_point_weights(mesh.nodes)))
     du = np.empty_like(u)
     du[1:-1] = w[1:-1, 0] * (u[:-2] - u[1:-1]) + w[1:-1, 2] * (u[2:] - u[1:-1])
     du[0] = w[0, 1] * (u[1] - u[0]) + w[0, 2] * (u[2] - u[0])
@@ -520,14 +523,13 @@ def _windows(n: int, pts: int):
 
 def u_derivatives_stencil(mesh: Mesh, u: np.ndarray, order: int, pts: int = 5):
     """u', ..., u^(order) from local polynomial stencils of width pts."""
-    key = ("stw", order, pts)
-    try:
-        wlist, widx = mesh._cache[key]
-    except KeyError:
+
+    def build():
         widx, pos = _windows(mesh.size, pts)
         xw = mesh.nodes[widx]
-        wlist = [fd_weights(xw, mesh.nodes, k, pos) for k in range(1, order + 1)]
-        mesh._cache[key] = (wlist, widx)
+        return [fd_weights(xw, mesh.nodes, k, pos) for k in range(1, order + 1)], widx
+
+    wlist, widx = mesh.cached(("stw", order, pts), build)
     uw = u[widx] - u[:, None]  # difference form: exact on constants
     return [np.sum(w * uw, axis=1) for w in wlist]
 

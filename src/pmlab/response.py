@@ -346,10 +346,8 @@ def forward_noise_scale(mesh: Mesh, obs, d: DensityRecord) -> float:
 
 def _gauss_cells(mesh: Mesh, npts: int = 4):
     """Gauss-Legendre nodes/weights on every mesh cell (flattened)."""
-    key = ("gauss", npts)
-    try:
-        return mesh._cache[key]
-    except KeyError:
+
+    def build():
         gx, gw = np.polynomial.legendre.leggauss(npts)
         a, b = mesh.nodes[:-1], mesh.nodes[1:]
         mid = 0.5 * (a + b)[:, None]
@@ -358,8 +356,9 @@ def _gauss_cells(mesh: Mesh, npts: int = 4):
         wts = (half * gw[None, :]).ravel()
         pts.setflags(write=False)
         wts.setflags(write=False)
-        mesh._cache[key] = (pts, wts)
         return pts, wts
+
+    return mesh.cached(("gauss", npts), build)
 
 
 def susceptibility_terms_orbitwise(

@@ -15,9 +15,15 @@ a > 0, so the result carries an explicit ``converged`` flag instead of
 being silently accepted.  ``build_ulam`` assembles the row-stochastic Ulam
 matrix from exact branchwise preimage intersections as an independent
 discretization of the same operator.
+
+All four pullback applications (``apply_L``, ``apply_N``,
+``apply_preimage_sum`` and ``jet_apply``) read one per-(alpha, mesh) entry
+of ``Mesh.cached``: the branch inverse g and its x-derivatives at the
+nodes, the log-ratios of the singular factor, and the Hermite weights of
+the fixed pullback points g(x_i) and (x_i + 1)/2.  It is computed once and
+lives exactly as long as the mesh.
 """
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -29,18 +35,18 @@ from .maps import (
     X,
     X_prime,
     X_double_prime,
+    _g_chain,
     branch_inverse,
-    branch_inverse_deriv,
     dalpha_X,
     dalpha_X_prime,
 )
 from .grid import (
     GridFunction,
     Mesh,
-    bracket_indices,
     differentiate,
     evaluate,
-    evaluate_u,
+    hermite_apply,
+    hermite_weights,
     integrate,
     integrate_to,
     l1_norm,
@@ -97,32 +103,41 @@ class DensityRecord:
         return float(np.min(vals)), float(np.max(vals))
 
 
-@functools.lru_cache(maxsize=64)
-def _pullbacks(p: MapParams, mesh: Mesh):
-    """Precomputed node pullbacks for the two branches on a fixed mesh."""
-    x = mesh.nodes
-    g = np.asarray(branch_inverse(p, x, tol=0.0), dtype=float)
-    gp = np.asarray(branch_inverse_deriv(p, x, 1), dtype=float)
-    right = 0.5 * (x + 1.0)
-    idx_g = bracket_indices(mesh, g)
-    idx_r = bracket_indices(mesh, right)
-    log_ratio = np.log(x) - np.log(g)  # log(x / g(x)), stable for tiny x
-    log_ratio_r = np.log(x) - np.log(right)
-    for arr in (g, gp, right, idx_g, idx_r, log_ratio, log_ratio_r):
-        arr.setflags(write=False)
-    return g, gp, right, idx_g, idx_r, log_ratio, log_ratio_r
+def _pullbacks(p: MapParams, mesh: Mesh) -> dict:
+    """Pullback data of both branches on a fixed mesh, built once per alpha.
+
+    ``g`` holds g and its first four x-derivatives at the nodes, ``hg`` and
+    ``hr`` the Hermite weights of the pullback points g(x) and
+    r(x) = (x+1)/2, and ``lr_g``, ``lr_r`` the log-ratios log(x/g) and
+    log(x/r) of the singular factor.  The entry lives in the mesh's cache,
+    so it is freed with the mesh.
+    """
+
+    def build():
+        x = mesh.nodes
+        g = _g_chain(p, x, 4)
+        right = 0.5 * (x + 1.0)
+        lr_g = np.log(x) - np.log(g[0])  # log(x / g(x)), stable for tiny x
+        lr_r = np.log(x) - np.log(right)
+        for arr in (*g, lr_g, lr_r):
+            arr.setflags(write=False)
+        return {"g": g, "hg": hermite_weights(mesh, g[0]),
+                "hr": hermite_weights(mesh, right), "lr_g": lr_g, "lr_r": lr_r}
+
+    return mesh.cached(("pullbacks", p.alpha), build)
 
 
 def _branch_values(p: MapParams, f: GridFunction, mesh: Mesh):
     """u-space contributions of the two branches of L at the mesh nodes."""
     if f.mesh is not mesh:
         raise ValueError("transfer: grid function lives on a different mesh")
-    g, gp, right, idx_g, idx_r, lr_g, lr_r = _pullbacks(p, mesh)
-    u_g = evaluate_u(f, g, idx_g)
-    u_r = evaluate_u(f, right, idx_r)
+    pb = _pullbacks(p, mesh)
+    gp = pb["g"][1]
+    u_g = hermite_apply(f, pb["hg"])
+    u_r = hermite_apply(f, pb["hr"])
     if f.s != 0.0:
-        left = u_g * np.exp(f.s * lr_g) * gp
-        right_part = 0.5 * u_r * np.exp(f.s * lr_r)
+        left = u_g * np.exp(f.s * pb["lr_g"]) * gp
+        right_part = 0.5 * u_r * np.exp(f.s * pb["lr_r"])
     else:
         left = u_g * gp
         right_part = 0.5 * u_r
@@ -151,16 +166,13 @@ def apply_preimage_sum(p: MapParams, f: GridFunction) -> GridFunction:
     """
     if f.s != 0.0:
         raise ValueError("apply_preimage_sum: requires singular exponent 0")
-    g, _, right, idx_g, idx_r, _, _ = _pullbacks(p, f.mesh)
-    vals = evaluate_u(f, g, idx_g) + evaluate_u(f, right, idx_r)
+    pb = _pullbacks(p, f.mesh)
+    vals = hermite_apply(f, pb["hg"]) + hermite_apply(f, pb["hr"])
     return GridFunction(f.mesh, vals, 0.0)
 
 
 def _fields(p: MapParams, mesh: Mesh):
-    key = ("fields", p.alpha)
-    try:
-        return mesh._cache[key]
-    except KeyError:
+    def build():
         x = mesh.nodes
         vals = {
             "X": np.asarray(X(p, x)),
@@ -171,8 +183,9 @@ def _fields(p: MapParams, mesh: Mesh):
         }
         for a in vals.values():
             a.setflags(write=False)
-        mesh._cache[key] = vals
         return vals
+
+    return mesh.cached(("fields", p.alpha), build)
 
 
 def apply_M(p: MapParams, f: GridFunction) -> GridFunction:
@@ -277,23 +290,6 @@ def jet_one(p: MapParams, mesh: Mesh, order: int = 3) -> Jet:
     return Jet(tuple(levels))
 
 
-@functools.lru_cache(maxsize=64)
-def _jet_pullbacks(p: MapParams, mesh: Mesh):
-    from .maps import _g_chain
-
-    x = mesh.nodes
-    g, gp, gpp, gppp, gpppp = _g_chain(p, x, 4)
-    right = 0.5 * (x + 1.0)
-    idx_g = bracket_indices(mesh, g)
-    idx_r = bracket_indices(mesh, right)
-    lr_g = np.log(x) - np.log(g)
-    lr_r = np.log(x) - np.log(right)
-    out = (g, gp, gpp, gppp, gpppp, right, idx_g, idx_r, lr_g, lr_r)
-    for arr in out:
-        arr.setflags(write=False)
-    return out
-
-
 def jet_apply(p: MapParams, jet: Jet, branch: str = "both") -> Jet:
     """Chain-rule image of a jet under L (branch="both") or N ("left")."""
     if branch not in ("both", "left"):
@@ -301,12 +297,13 @@ def jet_apply(p: MapParams, jet: Jet, branch: str = "both") -> Jet:
     mesh = jet.mesh
     x = mesh.nodes
     s = jet.levels[0].s
-    g, gp, gpp, gppp, gpppp, right, idx_g, idx_r, lr_g, lr_r = _jet_pullbacks(p, mesh)
+    pb = _pullbacks(p, mesh)
+    _, gp, gpp, gppp, gpppp = pb["g"]
     wg, wr = [], []
     for i, lv in enumerate(jet.levels):
-        wg.append(np.exp((s + i) * lr_g) * evaluate_u(lv, g, idx_g))
+        wg.append(np.exp((s + i) * pb["lr_g"]) * hermite_apply(lv, pb["hg"]))
         if branch == "both":
-            wr.append(np.exp((s + i) * lr_r) * evaluate_u(lv, right, idx_r))
+            wr.append(np.exp((s + i) * pb["lr_r"]) * hermite_apply(lv, pb["hr"]))
     order = jet.order
     out = [wg[0] * gp]
     if order >= 1:

@@ -88,6 +88,21 @@ class TestCli:
                                      "--tol", "1e-13", "--max-iter", "3"])
         assert code == 2
 
+    def test_unconverged_record_not_served(self, cache_env, capsys):
+        args = ["density", "--alpha", "0.3", "--mesh", "256", "--orbit-points",
+                "16", "--x-min", "1e-6", "--tol", "1e-8"]
+        assert main(args + ["--max-iter", "3"]) == 2
+        assert main(args) == 0
+
+    def test_corrupt_record_is_a_miss(self, cache_env, tmp_path, capsys):
+        assert main(DENS_ARGS + ["--out", str(tmp_path / "d1.csv")]) == 0
+        (record,) = (cache_env / "cache").glob("density-*.json")
+        record.write_bytes(record.read_bytes()[:200])
+        assert DensityCache(record.parent).get(record.stem[len("density-"):]) is None
+        assert main(DENS_ARGS + ["--out", str(tmp_path / "d2.csv")]) == 0
+        assert json.loads(record.read_text())["converged"] is True
+        assert (tmp_path / "d1.csv").read_bytes() == (tmp_path / "d2.csv").read_bytes()
+
     def test_density_json_format(self, cache_env, tmp_path, capsys):
         out = tmp_path / "d.json"
         assert main(DENS_ARGS + ["--format", "json", "--out", str(out)]) == 0

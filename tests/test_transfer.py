@@ -1,16 +1,23 @@
 """Transfer operators, parameter derivatives, densities, Ulam oracle."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from pmlab import (
     GridFunction,
+    Jet,
     MapParams,
     apply_L,
     apply_M,
     apply_N,
     apply_d2L,
+    apply_preimage_sum,
+    branch_inverse,
+    branch_inverse_deriv,
     build_mesh,
     build_ulam,
     compute_density,
@@ -23,6 +30,7 @@ from pmlab import (
     ulam_mean,
     ulam_stationary,
 )
+from pmlab.grid import evaluate_u
 from pmlab.maps import forward
 from pmlab.transfer import ulam_l1_distance
 
@@ -225,6 +233,39 @@ class TestJets:
             np.abs(d_st.values[win])
         )
         assert np.max(rel[win]) < 1e-3
+
+
+class TestPullbackData:
+    """The per-(alpha, mesh) pullback data reproduces the direct formulas
+    bit for bit and is freed with its mesh."""
+
+    def test_apply_N_matches_direct_evaluation(self, p3, mesh3):
+        x = mesh3.nodes
+        g = branch_inverse(p3, x, tol=0.0)
+        gp = branch_inverse_deriv(p3, x, 1)
+        assert np.any(g < mesh3.x_min)  # the constant extension is exercised
+        rng = np.random.default_rng(11)
+        for s in (0.0, p3.alpha):
+            f = GridFunction(mesh3, rng.standard_normal(mesh3.size), s)
+            direct = evaluate_u(f, g) * np.exp(s * (np.log(x) - np.log(g))) * gp
+            assert np.array_equal(apply_N(p3, f).values, direct)
+
+    def test_jet_level0_is_apply_L_exactly(self, p3, mesh3):
+        rng = np.random.default_rng(12)
+        for s in (0.0, p3.alpha):
+            f = GridFunction(mesh3, rng.standard_normal(mesh3.size), s)
+            jet = jet_apply(p3, Jet((f,)))
+            assert np.array_equal(jet.levels[0].values, apply_L(p3, f).values)
+
+    def test_mesh_is_freed(self, p3):
+        mesh = build_mesh(p3, 256, 16, 1e-6)
+        ref = weakref.ref(mesh)
+        rec = compute_density(p3, mesh, tol=1e-6)
+        jet_apply(p3, jet_one(p3, mesh, 3))
+        apply_preimage_sum(p3, GridFunction(mesh, np.ones(mesh.size)))
+        del mesh, rec
+        gc.collect()
+        assert ref() is None
 
 
 class TestComputeDensity:
