@@ -2,17 +2,18 @@
 
 A ``GridFunction`` stores a function as f(x) = x^(-s) * u(x) with bounded
 nodal values u on a singularity-graded ``Mesh``.  Quadrature integrates the
-piecewise-linear interpolant of u against the exact x^(-s) cell moments (so
-it is linear and positive in u), differentiation uses the product rule with
-3-point nonuniform stencils on u, and point evaluation uses monotone
-piecewise-cubic (PCHIP) interpolation of u, split into cell brackets and
-cubic Hermite weights of the query points (``hermite_weights``) and their
-application to u and its slopes (``hermite_apply``), so that fixed query
-points pay for the weights once.
+piecewise-linear interpolant of u against the exact x^(-s) cell moments, as
+a dot product with a nonnegative quadrature vector q_s (``Mesh.quadrature``).
+Differentiation uses the product rule with 3-point nonuniform stencils on u.
+Point evaluation uses monotone piecewise-cubic (PCHIP) interpolation of u:
+a CSR matrix of cubic Hermite weights of the query points
+(``hermite_weights``) acts on the stacked nodal values and PCHIP slopes
+[u; d] (``hermite_stack``), so that fixed query points pay for it once.
 
-Everything that depends only on the mesh (cell widths, x^(-s) moments,
-PCHIP and stencil weights, and the per-alpha pullback data of ``transfer``)
-is memoized in ``Mesh.cached`` and lives exactly as long as the mesh.
+Everything that depends only on the mesh (cell widths, x^(-s) moments and
+quadrature vectors, PCHIP and stencil weights, and the per-alpha pullback
+data of ``transfer``) is memoized in ``Mesh.cached`` and lives exactly as
+long as the mesh.
 
 Meshes are built as the union of the neutral-orbit points g_a^l(1), a
 geometric refinement down to ``x_min`` and a polynomially graded bulk; below
@@ -24,6 +25,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 
 from .maps import MapParams, branch_inverse
 
@@ -99,6 +101,19 @@ class Mesh:
         (x - xbar) x^(-s) over each cell (xbar the cell midpoint), plus the
         [0, x_min] tail of x^(-s)."""
         return self.cached(("mom", float(s)), lambda: _cell_moments(self.nodes, s))
+
+    def quadrature(self, s: float) -> np.ndarray:
+        """Nonnegative weights q_s with integrate(x^(-s) u) = q_s . u."""
+
+        def build():
+            m0, m1c, tail = self.moments(s)
+            lin = m1c / self.widths
+            q = np.append(0.5 * m0 - lin, 0.0)  # left node of each cell
+            q[1:] += 0.5 * m0 + lin  # right node
+            q[0] += tail
+            return _frozen(q)
+
+        return self.cached(("quad", float(s)), build)
 
     def spec(self) -> dict:
         return {
@@ -226,7 +241,6 @@ class GridFunction:
     mesh: Mesh
     values: np.ndarray
     s: float = 0.0
-    _cache: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
@@ -257,15 +271,6 @@ class GridFunction:
             raise ValueError("with_exponent: can only increase the exponent")
         u = self.values * self.mesh.nodes ** (s_new - self.s)
         return GridFunction(self.mesh, u, s_new)
-
-    def _slopes(self) -> np.ndarray:
-        try:
-            return self._cache["slopes"]
-        except KeyError:
-            d = _pchip_slopes(self.mesh, self.values)
-            d.setflags(write=False)
-            self._cache["slopes"] = d
-            return d
 
     # -- arithmetic --------------------------------------------------------
     def _check_mesh(self, other):
@@ -317,11 +322,15 @@ class GridFunction:
 # ---------------------------------------------------------------------------
 
 
-def _pchip_slopes(mesh: Mesh, u: np.ndarray) -> np.ndarray:
+def hermite_stack(mesh: Mesh, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """[u; d] with d the PCHIP slopes of u, written into ``out`` if given."""
+    n = u.size
+    ud = np.empty(2 * n) if out is None else out
+    ud[:n] = u
+    d = ud[n:]
     h = mesh.widths
-    m = np.diff(u) / h
-    d = np.zeros_like(u)
-    mk, mk1 = m[1:], m[:-1]
+    m = np.diff(u)
+    m /= h
 
     def weights():
         w1 = 2.0 * h[1:] + h[:-1]
@@ -330,31 +339,41 @@ def _pchip_slopes(mesh: Mesh, u: np.ndarray) -> np.ndarray:
 
     w1, w2, w12 = mesh.cached("pchip", weights)
     with np.errstate(divide="ignore", invalid="ignore"):
-        whm = w12 / (w1 / mk1 + w2 / mk)
-    d[1:-1] = np.where(np.sign(mk1) * np.sign(mk) > 0, whm, 0.0)
+        whm = w1 / m[:-1]  # weighted harmonic mean of the two secants
+        whm += w2 / m[1:]
+        np.divide(w12, whm, out=whm)
+    pos, neg = m > 0.0, m < 0.0  # kept where both secants have one strict sign
+    d[1:-1] = 0.0
+    np.copyto(d[1:-1], whm, where=(pos[:-1] & pos[1:]) | (neg[:-1] & neg[1:]))
 
-    def edge(h0, h1, m0, m1):
+    def sign(v):
+        return (v > 0.0) - (v < 0.0)
+
+    def edge(h0, h1, m0, m1):  # Python floats: no numpy scalar overhead
         dd = ((2.0 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
-        if np.sign(dd) != np.sign(m0):
+        if sign(dd) != sign(m0):
             return 0.0
-        if np.sign(m0) != np.sign(m1) and abs(dd) > 3.0 * abs(m0):
+        if sign(m0) != sign(m1) and abs(dd) > 3.0 * abs(m0):
             return 3.0 * m0
         return dd
 
-    d[0] = edge(h[0], h[1], m[0], m[1])
-    d[-1] = edge(h[-1], h[-2], m[-1], m[-2])
-    return d
+    d[0] = edge(*map(float, (h[0], h[1], m[0], m[1])))
+    d[-1] = edge(*map(float, (h[-1], h[-2], m[-1], m[-2])))
+    return ud
 
 
-def hermite_weights(mesh: Mesh, xq):
-    """Cell indices (i, i+1) and the four cubic Hermite basis weights at xq.
+def hermite_weights(mesh: Mesh, xq) -> sp.csr_matrix:
+    """PCHIP evaluation at the 1-d points xq as a CSR matrix: P @ [u; d].
 
-    Points below x_min are clipped to it, where the weights are (1, 0, 0, 0):
-    the constant extension of u.
+    Row k holds the cubic Hermite weights of xq[k] in its cell (i, i+1) in
+    the order u[i], d[i], u[i+1], d[i+1], unsorted and unsummed, so the
+    matvec adds the terms in that order.  Points below x_min are clipped to
+    it, where the weights are (1, 0, 0, 0): the constant extension of u.
     """
     x = mesh.nodes
+    n = x.size
     xq = np.asarray(xq, dtype=float)
-    idx = np.clip(np.searchsorted(x, xq, side="right") - 1, 0, x.size - 2)
+    idx = np.clip(np.searchsorted(x, xq, side="right") - 1, 0, n - 2)
     x0 = x[idx]
     hh = x[idx + 1] - x0
     t = (np.clip(xq, x[0], 1.0) - x0) / hh
@@ -362,19 +381,18 @@ def hermite_weights(mesh: Mesh, xq):
     t3 = t2 * t
     w = (2.0 * t3 - 3.0 * t2 + 1.0, hh * (t3 - 2.0 * t2 + t), 3.0 * t2 - 2.0 * t3,
          hh * (t3 - t2))
-    return _frozen(idx, idx + 1, np.stack(w))
-
-
-def hermite_apply(f: GridFunction, weights) -> np.ndarray:
-    """PCHIP interpolant of f's regular factor u at the points of ``weights``."""
-    i0, i1, w = weights
-    u, d = f.values, f._slopes()
-    return w[0] * u[i0] + w[1] * d[i0] + w[2] * u[i1] + w[3] * d[i1]
+    cols = np.stack((idx, idx + n, idx + 1, idx + 1 + n), axis=1, dtype=np.int32).ravel()
+    P = sp.csr_matrix((np.stack(w, axis=1).ravel(), cols,
+                       np.arange(0, cols.size + 1, 4, dtype=np.int32)), shape=(idx.size, 2 * n))
+    _frozen(P.data, P.indices, P.indptr)
+    return P
 
 
 def evaluate_u(f: GridFunction, xq):
     """Interpolate the regular factor u at xq; constant below x_min."""
-    return hermite_apply(f, hermite_weights(f.mesh, xq))
+    xq = np.asarray(xq, dtype=float)
+    P = hermite_weights(f.mesh, xq.ravel())
+    return (P @ hermite_stack(f.mesh, f.values)).reshape(xq.shape)
 
 
 def evaluate(f: GridFunction, x):
@@ -408,14 +426,9 @@ def integrate(f: GridFunction) -> float:
     Per cell the rule is exact for u linear against the weight x^(-s)
     (analytic moments); on (0, x_min] the regular factor is frozen at
     u(x_min) and the tail integral is added analytically.  Linear and
-    positive in the nodal values.
+    positive in the nodal values: the dot product q_s . u.
     """
-    m0, m1c, tail = f.mesh.moments(f.s)
-    u = f.values
-    ubar = 0.5 * (u[:-1] + u[1:])
-    slope = np.diff(u) / f.mesh.widths
-    cells = ubar * m0 + slope * m1c
-    return float(np.sum(cells) + u[0] * tail)
+    return float(f.mesh.quadrature(f.s) @ f.values)
 
 
 def integrate_to(f: GridFunction, upper: float) -> float:
@@ -433,7 +446,7 @@ def integrate_to(f: GridFunction, upper: float) -> float:
 
 
 def l1_norm(f: GridFunction) -> float:
-    return integrate(abs(f))
+    return float(f.mesh.quadrature(f.s) @ np.abs(f.values))
 
 
 # ---------------------------------------------------------------------------

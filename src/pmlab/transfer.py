@@ -12,16 +12,18 @@ nodewise sum of ``seven_term_decomposition``).
 ``compute_density`` runs renormalized power iteration L^k 1 with an L1
 successive-difference stopping rule; convergence is polynomial in k for
 a > 0, so the result carries an explicit ``converged`` flag instead of
-being silently accepted.  ``build_ulam`` assembles the row-stochastic Ulam
+being silently accepted; its loop runs on raw arrays through the kernel
+that ``apply_L`` wraps.  ``build_ulam`` assembles the row-stochastic Ulam
 matrix from exact branchwise preimage intersections as an independent
 discretization of the same operator.
 
 All four pullback applications (``apply_L``, ``apply_N``,
 ``apply_preimage_sum`` and ``jet_apply``) read one per-(alpha, mesh) entry
 of ``Mesh.cached``: the branch inverse g and its x-derivatives at the
-nodes, the log-ratios of the singular factor, and the Hermite weights of
-the fixed pullback points g(x_i) and (x_i + 1)/2.  It is computed once and
-lives exactly as long as the mesh.
+nodes, and the interpolation of u at the fixed pullback points g(x_i) and
+(x_i + 1)/2 as CSR matrices P_g, P_r of shape n x 2n acting on [u; d].
+The singular-factor ratios (x/g)^s and (x/r)^s are cached beside it per
+(alpha, s); both live exactly as long as the mesh.
 """
 
 import math
@@ -45,11 +47,11 @@ from .grid import (
     Mesh,
     differentiate,
     evaluate,
-    hermite_apply,
+    _frozen,
+    hermite_stack,
     hermite_weights,
     integrate,
     integrate_to,
-    l1_norm,
 )
 
 __all__ = [
@@ -106,42 +108,45 @@ class DensityRecord:
 def _pullbacks(p: MapParams, mesh: Mesh) -> dict:
     """Pullback data of both branches on a fixed mesh, built once per alpha.
 
-    ``g`` holds g and its first four x-derivatives at the nodes, ``hg`` and
-    ``hr`` the Hermite weights of the pullback points g(x) and
-    r(x) = (x+1)/2, and ``lr_g``, ``lr_r`` the log-ratios log(x/g) and
-    log(x/r) of the singular factor.  The entry lives in the mesh's cache,
-    so it is freed with the mesh.
+    ``g`` holds g and its first four x-derivatives at the nodes, ``Pg`` and
+    ``Pr`` the PCHIP interpolation matrices (``hermite_weights``) of the
+    pullback points g(x) and r(x) = (x+1)/2.  The entry lives in the mesh's
+    cache, so it is freed with the mesh.
     """
 
     def build():
-        x = mesh.nodes
-        g = _g_chain(p, x, 4)
-        right = 0.5 * (x + 1.0)
-        lr_g = np.log(x) - np.log(g[0])  # log(x / g(x)), stable for tiny x
-        lr_r = np.log(x) - np.log(right)
-        for arr in (*g, lr_g, lr_r):
-            arr.setflags(write=False)
-        return {"g": g, "hg": hermite_weights(mesh, g[0]),
-                "hr": hermite_weights(mesh, right), "lr_g": lr_g, "lr_r": lr_r}
+        g = _frozen(*_g_chain(p, mesh.nodes, 4))
+        return {"g": g, "Pg": hermite_weights(mesh, g[0]),
+                "Pr": hermite_weights(mesh, 0.5 * (mesh.nodes + 1.0))}
 
     return mesh.cached(("pullbacks", p.alpha), build)
 
 
+def _ratios(p: MapParams, mesh: Mesh, s: float):
+    """Singular-factor ratios (x/g)^s and (x/r)^s at the nodes, once per (alpha, s)."""
+
+    def build():
+        x, g = mesh.nodes, _pullbacks(p, mesh)["g"][0]
+        lr_g = np.log(x) - np.log(g)  # log(x / g(x)), stable for tiny x
+        lr_r = np.log(x) - np.log(0.5 * (x + 1.0))
+        return _frozen(np.exp(s * lr_g), np.exp(s * lr_r))
+
+    return mesh.cached(("ratios", p.alpha, s), build)
+
+
+def _branches(p: MapParams, mesh: Mesh, s: float, ud: np.ndarray):
+    """u-space terms of the two branches of L at the nodes, for f = x^(-s) u
+    with ud = [u; d].  The one implementation of L and N."""
+    pb = _pullbacks(p, mesh)
+    eg, er = _ratios(p, mesh, s)
+    return (pb["Pg"] @ ud) * eg * pb["g"][1], 0.5 * (pb["Pr"] @ ud) * er
+
+
 def _branch_values(p: MapParams, f: GridFunction, mesh: Mesh):
-    """u-space contributions of the two branches of L at the mesh nodes."""
+    """``_branches`` of a grid function, which must live on ``mesh``."""
     if f.mesh is not mesh:
         raise ValueError("transfer: grid function lives on a different mesh")
-    pb = _pullbacks(p, mesh)
-    gp = pb["g"][1]
-    u_g = hermite_apply(f, pb["hg"])
-    u_r = hermite_apply(f, pb["hr"])
-    if f.s != 0.0:
-        left = u_g * np.exp(f.s * pb["lr_g"]) * gp
-        right_part = 0.5 * u_r * np.exp(f.s * pb["lr_r"])
-    else:
-        left = u_g * gp
-        right_part = 0.5 * u_r
-    return left, right_part
+    return _branches(p, mesh, f.s, hermite_stack(mesh, f.values))
 
 
 def apply_N(p: MapParams, f: GridFunction) -> GridFunction:
@@ -167,8 +172,8 @@ def apply_preimage_sum(p: MapParams, f: GridFunction) -> GridFunction:
     if f.s != 0.0:
         raise ValueError("apply_preimage_sum: requires singular exponent 0")
     pb = _pullbacks(p, f.mesh)
-    vals = hermite_apply(f, pb["hg"]) + hermite_apply(f, pb["hr"])
-    return GridFunction(f.mesh, vals, 0.0)
+    ud = hermite_stack(f.mesh, f.values)
+    return GridFunction(f.mesh, pb["Pg"] @ ud + pb["Pr"] @ ud, 0.0)
 
 
 def _fields(p: MapParams, mesh: Mesh):
@@ -181,8 +186,7 @@ def _fields(p: MapParams, mesh: Mesh):
             "dX": np.asarray(dalpha_X(p, x)),
             "dXp": np.asarray(dalpha_X_prime(p, x)),
         }
-        for a in vals.values():
-            a.setflags(write=False)
+        _frozen(*vals.values())
         return vals
 
     return mesh.cached(("fields", p.alpha), build)
@@ -301,9 +305,11 @@ def jet_apply(p: MapParams, jet: Jet, branch: str = "both") -> Jet:
     _, gp, gpp, gppp, gpppp = pb["g"]
     wg, wr = [], []
     for i, lv in enumerate(jet.levels):
-        wg.append(np.exp((s + i) * pb["lr_g"]) * hermite_apply(lv, pb["hg"]))
+        eg, er = _ratios(p, mesh, s + i)
+        ud = hermite_stack(mesh, lv.values)
+        wg.append(eg * (pb["Pg"] @ ud))
         if branch == "both":
-            wr.append(np.exp((s + i) * pb["lr_r"]) * hermite_apply(lv, pb["hr"]))
+            wr.append(er * (pb["Pr"] @ ud))
     order = jet.order
     out = [wg[0] * gp]
     if order >= 1:
@@ -385,28 +391,24 @@ def compute_density(
     a = p.alpha
     if max_iter is None:
         max_iter = default_max_iter(a, tol)
-    f = GridFunction(mesh, mesh.nodes**a, a)  # the constant function 1
-    f = (1.0 / integrate(f)) * f
-    residual = math.inf
-    iterations = 0
+    q = mesh.quadrature(a)
+    u = mesh.nodes**a  # the constant function 1
+    u = u * (1.0 / (q @ u))
+    ud, diff = np.empty(2 * u.size), np.empty_like(u)  # reused buffers
+    residual, iterations = math.inf, 0
     for k in range(max_iter):
-        nxt = apply_L(p, f)
-        nxt = (1.0 / integrate(nxt)) * nxt
-        residual = l1_norm(nxt - f)
-        f = nxt
+        nxt, right = _branches(p, mesh, a, hermite_stack(mesh, u, ud))
+        nxt += right
+        nxt *= 1.0 / (q @ nxt)
+        residual = float(q @ np.abs(np.subtract(nxt, u, out=diff), out=diff))
+        u = nxt
         iterations = k + 1
         if residual <= tol:
             break
-    norm = integrate(f)
-    return DensityRecord(
-        params=p,
-        density=f,
-        iterations=iterations,
-        residual=float(residual),
-        normalization=float(norm),
-        tol=float(tol),
-        converged=residual <= tol,
-    )
+    f = GridFunction(mesh, u, a)
+    return DensityRecord(params=p, density=f, iterations=iterations,
+                         residual=float(residual), normalization=integrate(f),
+                         tol=float(tol), converged=residual <= tol)
 
 
 # ---------------------------------------------------------------------------
@@ -432,45 +434,30 @@ class UlamOperator:
         return np.diff(self.edges)
 
 
-def _interval_overlaps(edges, lo, hi):
-    """Indices and overlap lengths of cells meeting [lo, hi]."""
-    if hi <= lo:
-        return np.empty(0, dtype=int), np.empty(0)
-    i0 = max(int(np.searchsorted(edges, lo, side="right")) - 1, 0)
-    i1 = min(int(np.searchsorted(edges, hi, side="left")), len(edges) - 1)
-    idx = np.arange(i0, i1)
-    seg_lo = np.maximum(edges[idx], lo)
-    seg_hi = np.minimum(edges[idx + 1], hi)
-    return idx, np.maximum(seg_hi - seg_lo, 0.0)
-
-
 def build_ulam(p: MapParams, partition: Mesh) -> UlamOperator:
     """Assemble the Ulam matrix from exact preimage-interval intersections.
 
     Both branches are monotone, so the preimage of a cell under each branch
     is a single interval: [g(c), g(d)] on the left and [(c+1)/2, (d+1)/2]
-    on the right.
+    on the right.  One ``searchsorted`` brackets all interval endpoints, and
+    each interval expands into the cells it meets with positive overlap.
     """
     edges = np.concatenate([[0.0], partition.nodes])
     m = edges.size - 1
-    g_edges = np.asarray(branch_inverse(p, edges, tol=0.0))
-    r_edges = 0.5 * (edges + 1.0)
-    rows, cols, vals = [], [], []
-    widths = np.diff(edges)
-    for j in range(m):
-        for pre_lo, pre_hi in (
-            (g_edges[j], g_edges[j + 1]),
-            (r_edges[j], r_edges[j + 1]),
-        ):
-            idx, over = _interval_overlaps(edges, pre_lo, pre_hi)
-            keep = over > 0.0
-            rows.append(idx[keep])
-            cols.append(np.full(int(keep.sum()), j))
-            vals.append(over[keep])
-    rows = np.concatenate(rows)
-    cols = np.concatenate(cols)
-    vals = np.concatenate(vals) / widths[rows]
-    mat = sp.csr_matrix((vals, (rows, cols)), shape=(m, m))
+    ends = np.stack([np.asarray(branch_inverse(p, edges, tol=0.0)), 0.5 * (edges + 1.0)])
+    pos = np.searchsorted(edges, ends, side="right")
+    # intervals ordered (cell j, branch): preimages of cell j are adjacent
+    lo, hi = ends[:, :-1].T.ravel(), ends[:, 1:].T.ravel()
+    first = np.maximum(pos[:, :-1].T.ravel() - 1, 0)
+    count = np.maximum(np.minimum(pos[:, 1:].T.ravel(), m) - first, 0)
+    starts = np.repeat(first - (np.cumsum(count) - count), count)
+    rows = starts + np.arange(starts.size)
+    sel = np.repeat(np.arange(lo.size), count)
+    over = np.minimum(edges[rows + 1], hi[sel]) - np.maximum(edges[rows], lo[sel])
+    keep = over > 0.0
+    rows = rows[keep]
+    vals = over[keep] / np.diff(edges)[rows]
+    mat = sp.csr_matrix((vals, (rows, sel[keep] // 2)), shape=(m, m))
     return UlamOperator(partition=partition, matrix=mat, edges=edges)
 
 

@@ -120,6 +120,24 @@ class TestIntegrate:
         with pytest.raises(ValueError):
             integrate_to(one, 0.1234567891234)
 
+    @pytest.mark.parametrize("s", [0.0, 0.3, 0.75])
+    def test_quadrature_vector(self, mesh, rng, s):
+        # q_s . u equals the cell-moment rule, and q_s >= 0 keeps
+        # l1_norm = q_s . |u| an L1 norm
+        m0, m1c, tail = mesh.moments(s)
+        q = mesh.quadrature(s)
+        assert np.all(q >= 0.0)
+        x = mesh.nodes
+        for u in (1.0 + x * np.cos(3.0 * x), rng.uniform(0.0, 2.0, mesh.size),
+                  rng.standard_normal(mesh.size)):
+            ubar = 0.5 * (u[:-1] + u[1:])
+            slope = np.diff(u) / mesh.widths
+            explicit = np.sum(ubar * m0 + slope * m1c) + u[0] * tail
+            scale = np.sum(np.abs(ubar) * m0 + np.abs(slope * m1c)) + abs(u[0]) * tail
+            f = GridFunction(mesh, u, s)
+            assert abs(integrate(f) - explicit) <= 1e-14 * scale
+            assert l1_norm(f) == float(q @ np.abs(u))
+
     @pytest.mark.parametrize("power", [0, 1, 2])
     def test_refinement_stability(self, power):
         # halving the maximum cell width changes int(rho-like * psi) for

@@ -294,6 +294,29 @@ class TestComputeDensity:
         assert rec.iterations == 3
         assert rec.residual > 1e-13
 
+    @pytest.mark.parametrize("max_iter", [8, 16, 64, None])
+    def test_raw_loop_is_the_power_iteration(self, p3, mesh3, max_iter):
+        # the definition: renormalized L^k 1 through the public operators,
+        # stopped on the L1 distance of successive iterates
+        tol = 1e-9
+        f = GridFunction(mesh3, mesh3.nodes**0.3, 0.3)
+        f = (1.0 / integrate(f)) * f
+        budget = 30000 if max_iter is None else max_iter
+        iterations, residual = 0, np.inf
+        for k in range(budget):
+            nxt = apply_L(p3, f)
+            nxt = (1.0 / integrate(nxt)) * nxt
+            residual = l1_norm(nxt - f)
+            f = nxt
+            iterations = k + 1
+            if residual <= tol:
+                break
+        rec = compute_density(p3, mesh3, tol=tol, max_iter=budget)
+        assert rec.iterations == iterations
+        assert rec.converged == (residual <= tol)
+        assert rec.residual == pytest.approx(residual, rel=1e-12)
+        assert np.max(np.abs(rec.density.values - f.values) / np.abs(f.values)) <= 1e-12
+
     def test_polynomial_rate(self, p3, mesh3):
         # ||f_k - rho||_1 consistent with k^(1 - 1/alpha) up to log factors
         ref = compute_density(p3, mesh3, tol=1e-11, max_iter=30000)
@@ -315,6 +338,24 @@ class TestUlam:
         sums = np.asarray(U.matrix.sum(axis=1)).ravel()
         assert np.max(np.abs(sums - 1.0)) < 1e-12
         assert U.matrix.min() >= 0.0
+
+    def test_matches_brute_force_overlaps(self):
+        # entry (i, j) = Leb(cell i meeting a preimage of cell j) / |cell i|
+        p = MapParams(0.3)
+        part = build_mesh(p, 64, 8, 1e-4)
+        U = build_ulam(p, part)
+        e = U.edges
+        m = e.size - 1
+        pre = [(branch_inverse(p, e[j], tol=0.0), branch_inverse(p, e[j + 1], tol=0.0))
+               for j in range(m)] + [(0.5 * (e[j] + 1.0), 0.5 * (e[j + 1] + 1.0))
+                                     for j in range(m)]
+        dense = np.zeros((m, m))
+        for i in range(m):
+            for k, (lo, hi) in enumerate(pre):
+                over = min(e[i + 1], hi) - max(e[i], lo)
+                if over > 0.0:
+                    dense[i, k % m] += over / (e[i + 1] - e[i])
+        assert np.array_equal(U.matrix.toarray(), dense)
 
     def test_alpha0_uniform_stationary(self):
         p = MapParams(0.0)
