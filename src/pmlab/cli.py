@@ -32,6 +32,7 @@ from .cache import (
 )
 from .cones import (
     ConeParams,
+    _upper_constants,
     default_cone_params,
     invariance_experiment,
     omega_factors,
@@ -171,6 +172,15 @@ def _get_density(cfg, alpha=None, tol=None):
     return p, rec, key
 
 
+def _converged_density(cfg):
+    """``_get_density``'s map and record, or a gate failure (exit 2) when
+    the record did not converge."""
+    p, rec, _ = _get_density(cfg)
+    if not rec.converged:
+        raise GateFailure(f"density not converged (residual {rec.residual:.3e})")
+    return p, rec
+
+
 # ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
@@ -199,9 +209,7 @@ def cmd_density(cfg) -> int:
 
 
 def cmd_response(cfg) -> int:
-    p, rec, _ = _get_density(cfg)
-    if not rec.converged:
-        raise GateFailure(f"density not converged (residual {rec.residual:.3e})")
+    p, rec = _converged_density(cfg)
     methods = [m.strip() for m in str(cfg["methods"]).split(",") if m.strip()]
     obs = parse_observable(cfg["obs"])
     results = {}
@@ -227,9 +235,7 @@ def cmd_response(cfg) -> int:
 
 
 def cmd_validate(cfg) -> int:
-    p, rec, _ = _get_density(cfg)
-    if not rec.converged:
-        raise GateFailure(f"density not converged (residual {rec.residual:.3e})")
+    p, rec = _converged_density(cfg)
     obs = parse_observable(cfg["obs"])
     series = response_series(p, rec, obs, cfg["K"], cfg["series_tol"])
     rows = [("series_backward", series.value, math.nan)]
@@ -283,9 +289,8 @@ def cmd_cones(cfg) -> int:
     p = MapParams(cfg["alpha"])
     if cfg["cone"] == "omega":
         y = np.linspace(0.5 / cfg["grid"], 0.5, cfg["grid"])
-        cp = ConeParams(a=2.0, b1=p.alpha + 1.0,
-                        b2=3.0 * (p.alpha + 1.0) * (1.0 + p.alpha) + 21.0,
-                        b3=400.0, b1_bar=1e-3, b2_bar=1e-2)
+        b1, b2 = _upper_constants(p.alpha)
+        cp = ConeParams(a=2.0, b1=b1, b2=b2, b3=400.0, b1_bar=1e-3, b2_bar=1e-2)
         o1, o2, o3 = omega_factors(p, y, cp)
         ob1, ob2 = omega_bar_factors(p, y, cp)
         rows = list(zip(y.tolist(), o1.tolist(), o2.tolist(), o3.tolist(),
@@ -297,9 +302,7 @@ def cmd_cones(cfg) -> int:
                "max": {"omega1": float(np.max(o1)), "omega2": float(np.max(o2)),
                        "omega3": float(np.max(o3))}})
         return 0
-    _, rec, _ = _get_density(cfg)
-    if not rec.converged:
-        raise GateFailure(f"density not converged (residual {rec.residual:.3e})")
+    _, rec = _converged_density(cfg)
     cp = default_cone_params(p, rec, k_max=cfg["kmax"])
     reports = invariance_experiment(p, cfg["cone"], cp, cfg["kmax"], rec)
     rows = [
@@ -316,9 +319,7 @@ def cmd_cones(cfg) -> int:
 
 
 def cmd_decay(cfg) -> int:
-    p, rec, _ = _get_density(cfg)
-    if not rec.converged:
-        raise GateFailure(f"density not converged (residual {rec.residual:.3e})")
+    p, rec = _converged_density(cfg)
     curve = correlation_decay(
         p, rec, cfg["psi"], cfg["phi"], cfg["N"], method=cfg["method"],
         n_orbits=cfg["orbits"], orbit_len=cfg["orbit_len"],

@@ -1,13 +1,13 @@
 """Invariant-cone membership checks and invariance experiments.
 
 The cones are sets of positive functions pinched by pointwise differential
-inequalities:
+inequalities, one entry each of the ``_CONES`` table:
 
 * C2:      b1_bar/x phi <= -phi'   <= b1/x phi   and
            b2_bar/x^2 phi <= phi'' <= b2/x^2 phi
-* C_*:     0 <= phi <= 2 a rho m(phi),  -(a+1)/x phi <= phi' <= 0
-* C_*1:    0 <= phi <= 2 a rho m(phi),  |phi'| <= b1/x phi
 * C3:      C2 and |phi'''| <= b3/x^3 phi
+* Cstar:   0 <= phi <= 2 a rho m(phi),  -(alpha+1)/x phi <= phi' <= 0
+* Cstar1:  0 <= phi <= 2 a rho m(phi),  |phi'| <= b1/x phi
 
 Membership is asserted on mesh nodes in [x_check, 1] (the testable
 surrogate for the continuum statements; x_check = 10 x_min keeps the
@@ -26,8 +26,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .maps import MapParams, _f_deriv
-from .grid import GridFunction, Mesh, derivatives_full, integrate, integrate_to
+from .maps import MapParams, _as_array, _f_deriv, _ret
+from .grid import GridFunction, derivatives_full, integrate, integrate_to
 from .transfer import DensityRecord, jet_apply, jet_one
 
 __all__ = [
@@ -114,21 +114,6 @@ def _margin(lhs, rhs, nodes):
     return float(m[i]), float(nodes[i])
 
 
-def _finish(cone_id, margins, nodes, subject, params, half_mass=math.nan) -> ConeReport:
-    worst_name = min(margins, key=lambda k: margins[k][0])
-    worst_margin, worst_node = margins[worst_name]
-    return ConeReport(
-        cone_id=cone_id,
-        verdict=bool(worst_margin >= 0.0),
-        worst_margin=worst_margin,
-        worst_node=worst_node,
-        margins=margins,
-        subject=subject,
-        params=params,
-        half_mass_margin=half_mass,
-    )
-
-
 def _window(f: GridFunction, x_check: float | None):
     if x_check is None:
         x_check = 10.0 * f.mesh.x_min
@@ -138,6 +123,80 @@ def _window(f: GridFunction, x_check: float | None):
     return mask, float(x_check)
 
 
+@dataclass(frozen=True)
+class _Cone:
+    """One cone: the derivative order its rows need, whether it carries the
+    mass bound phi <= 2 a rho m(phi) and the half-mass report, and its rows
+    (name, row) with row(x, d, c) = (lhs, rhs) of lhs <= rhs, where
+    d = [phi, phi', ...] on the window and c is the report's params."""
+
+    order: int
+    mass: bool
+    rows: tuple
+
+
+_C2_ROWS = (
+    ("first_lower", lambda x, d, c: (c["b1_bar"] / x * d[0], -d[1])),
+    ("first_upper", lambda x, d, c: (-d[1], c["b1"] / x * d[0])),
+    ("second_lower", lambda x, d, c: (c["b2_bar"] / x**2 * d[0], d[2])),
+    ("second_upper", lambda x, d, c: (d[2], c["b2"] / x**2 * d[0])),
+)
+
+_CONES = {
+    "C2": _Cone(2, False, _C2_ROWS),
+    "C3": _Cone(3, False, _C2_ROWS + (
+        ("third_abs", lambda x, d, c: (np.abs(d[3]), c["b3"] / x**3 * d[0])),
+    )),
+    "Cstar": _Cone(1, True, (
+        ("deriv_lower", lambda x, d, c: (-(c["alpha"] + 1.0) / x * d[0], d[1])),
+        ("deriv_upper", lambda x, d, c: (d[1], 0.0 * d[1])),
+    )),
+    "Cstar1": _Cone(1, True, (
+        ("deriv_abs", lambda x, d, c: (np.abs(d[1]), c["b1"] / x * d[0])),
+    )),
+}
+
+
+def _check(cone_id, f, params, subject, derivs, density=None) -> ConeReport:
+    """Membership of f in the cone ``_CONES[cone_id]`` on the check window.
+
+    ``params`` are the report's params after "cone"; the resolved window
+    start replaces their "x_check" entry (None for the default) in place.
+    """
+    cone = _CONES[cone_id]
+    if cone.mass and density.params.alpha != params["alpha"]:
+        raise ValueError(f"check_{cone_id}: density was computed for another alpha")
+    mask, xc = _window(f, params["x_check"])
+    x = f.mesh.nodes[mask]
+    if derivs is None:
+        derivs = derivatives_full(f, cone.order)
+    d = [np.asarray(arr)[mask] for arr in derivs[: cone.order + 1]]
+    c = {"cone": cone_id, **params, "x_check": xc}
+    margins = {"positivity": _margin(0.0 * d[0], d[0], x)}
+    half_mass = math.nan
+    if cone.mass:
+        if density.density.mesh is not f.mesh:
+            raise ValueError("cone check: density and function live on different meshes")
+        rho = density.density.full_values()[mask]
+        m_phi = integrate(f)
+        margins["mass_bound"] = _margin(d[0], 2.0 * c["a"] * rho * m_phi, x)
+        half_mass = float((integrate_to(f, 0.5) - 0.5 * m_phi)
+                          / max(abs(0.5 * m_phi), _MARGIN_GUARD))
+    for name, row in cone.rows:
+        margins[name] = _margin(*row(x, d, c), x)
+    worst_margin, worst_node = min(margins.values(), key=lambda mx: mx[0])
+    return ConeReport(
+        cone_id=cone_id,
+        verdict=bool(worst_margin >= 0.0),
+        worst_margin=worst_margin,
+        worst_node=worst_node,
+        margins=margins,
+        subject=subject,
+        params=c,
+        half_mass_margin=half_mass,
+    )
+
+
 def check_C2(f: GridFunction, cp: ConeParams, x_check: float | None = None,
              subject: str = "", derivs: list | None = None) -> ConeReport:
     """Membership in C2 on the check window.
@@ -145,20 +204,7 @@ def check_C2(f: GridFunction, cp: ConeParams, x_check: float | None = None,
     ``derivs`` may supply precomputed nodal values [phi, phi', phi''] (e.g.
     from a chain-rule jet); the default is 5-point stencil differentiation.
     """
-    mask, xc = _window(f, x_check)
-    x = f.mesh.nodes[mask]
-    if derivs is None:
-        derivs = derivatives_full(f, 2)
-    phi, dphi, d2phi = (np.asarray(arr)[mask] for arr in derivs[:3])
-    margins = {
-        "positivity": _margin(0.0 * phi, phi, x),
-        "first_lower": _margin(cp.b1_bar / x * phi, -dphi, x),
-        "first_upper": _margin(-dphi, cp.b1 / x * phi, x),
-        "second_lower": _margin(cp.b2_bar / x**2 * phi, d2phi, x),
-        "second_upper": _margin(d2phi, cp.b2 / x**2 * phi, x),
-    }
-    return _finish("C2", margins, x, subject,
-                   {"cone": "C2", "x_check": xc, **cp.to_dict()})
+    return _check("C2", f, {"x_check": x_check, **cp.to_dict()}, subject, derivs)
 
 
 def check_C3(f: GridFunction, cp: ConeParams, x_check: float | None = None,
@@ -168,40 +214,9 @@ def check_C3(f: GridFunction, cp: ConeParams, x_check: float | None = None,
     Stencil third derivatives need a reasonably fine mesh; jets bypass the
     restriction.
     """
-    if derivs is None:
-        if f.mesh.size < 2048:
-            raise ValueError("check_C3: needs mesh size >= 2048 for stable phi'''")
-        derivs = derivatives_full(f, 3)
-    mask, xc = _window(f, x_check)
-    x = f.mesh.nodes[mask]
-    phi, dphi, d2phi, d3phi = (np.asarray(arr)[mask] for arr in derivs[:4])
-    margins = {
-        "positivity": _margin(0.0 * phi, phi, x),
-        "first_lower": _margin(cp.b1_bar / x * phi, -dphi, x),
-        "first_upper": _margin(-dphi, cp.b1 / x * phi, x),
-        "second_lower": _margin(cp.b2_bar / x**2 * phi, d2phi, x),
-        "second_upper": _margin(d2phi, cp.b2 / x**2 * phi, x),
-        "third_abs": _margin(np.abs(d3phi), cp.b3 / x**3 * phi, x),
-    }
-    return _finish("C3", margins, x, subject,
-                   {"cone": "C3", "x_check": xc, **cp.to_dict()})
-
-
-def _mass_margins(f, phi, mask, x, density, a):
-    if density.density.mesh is not f.mesh:
-        raise ValueError("cone check: density and function live on different meshes")
-    rho = density.density.full_values()[mask]
-    m_phi = integrate(f)
-    return {
-        "positivity": _margin(0.0 * phi, phi, x),
-        "mass_bound": _margin(phi, 2.0 * a * rho * m_phi, x),
-    }, m_phi
-
-
-def _half_mass_margin(f: GridFunction) -> float:
-    m_phi = integrate(f)
-    lower = integrate_to(f, 0.5)
-    return float((lower - 0.5 * m_phi) / max(abs(0.5 * m_phi), _MARGIN_GUARD))
+    if derivs is None and f.mesh.size < 2048:
+        raise ValueError("check_C3: needs mesh size >= 2048 for stable phi'''")
+    return _check("C3", f, {"x_check": x_check, **cp.to_dict()}, subject, derivs)
 
 
 def check_Cstar(f: GridFunction, p: MapParams, density: DensityRecord, a: float,
@@ -213,18 +228,8 @@ def check_Cstar(f: GridFunction, p: MapParams, density: DensityRecord, a: float,
     what upgrades N-images into the doubled-a cone), without letting it
     affect the verdict.
     """
-    if density.params.alpha != p.alpha:
-        raise ValueError("check_Cstar: density was computed for another alpha")
-    mask, xc = _window(f, x_check)
-    x = f.mesh.nodes[mask]
-    ders = derivs if derivs is not None else derivatives_full(f, 1)
-    phi, dphi = np.asarray(ders[0])[mask], np.asarray(ders[1])[mask]
-    margins, _ = _mass_margins(f, phi, mask, x, density, a)
-    margins["deriv_lower"] = _margin(-(p.alpha + 1.0) / x * phi, dphi, x)
-    margins["deriv_upper"] = _margin(dphi, 0.0 * dphi, x)
-    return _finish("Cstar", margins, x, subject,
-                   {"cone": "Cstar", "alpha": p.alpha, "a": a, "x_check": xc},
-                   half_mass=_half_mass_margin(f))
+    return _check("Cstar", f, {"alpha": p.alpha, "a": a, "x_check": x_check},
+                  subject, derivs, density)
 
 
 def check_Cstar1(f: GridFunction, p: MapParams, density: DensityRecord, a: float,
@@ -232,23 +237,32 @@ def check_Cstar1(f: GridFunction, p: MapParams, density: DensityRecord, a: float
                  subject: str = "", derivs: list | None = None) -> ConeReport:
     """Membership in C_*1(alpha, a, b1): |phi'| <= b1 phi / x plus the mass
     bound; the decreasing condition of C_* is dropped."""
-    if density.params.alpha != p.alpha:
-        raise ValueError("check_Cstar1: density was computed for another alpha")
-    mask, xc = _window(f, x_check)
-    x = f.mesh.nodes[mask]
-    ders = derivs if derivs is not None else derivatives_full(f, 1)
-    phi, dphi = np.asarray(ders[0])[mask], np.asarray(ders[1])[mask]
-    margins, _ = _mass_margins(f, phi, mask, x, density, a)
-    margins["deriv_abs"] = _margin(np.abs(dphi), b1 / x * phi, x)
-    return _finish("Cstar1", margins, x, subject,
-                   {"cone": "Cstar1", "alpha": p.alpha, "a": a, "b1": b1,
-                    "x_check": xc},
-                   half_mass=_half_mass_margin(f))
+    return _check("Cstar1", f,
+                  {"alpha": p.alpha, "a": a, "b1": b1, "x_check": x_check},
+                  subject, derivs, density)
 
 
 # ---------------------------------------------------------------------------
 # Bracket factors controlling invariance of the upper cone inequalities
 # ---------------------------------------------------------------------------
+
+
+def _upper_constants(alpha: float) -> tuple[float, float]:
+    """b1 = alpha + 1 and b2 = 3 b1 (1 + alpha) + 21 of the invariance regime."""
+    b1 = alpha + 1.0
+    return b1, 3.0 * b1 * (1.0 + alpha) + 21.0
+
+
+def _left_branch(p: MapParams, y, name: str):
+    """y as an array, whether it was a scalar, T'(y), T''(y) and
+    T(y) / (y T'(y)) on the left branch, for y in (0, 1/2]."""
+    a = p.alpha
+    ya, scalar = _as_array(y)
+    if np.any((ya <= 0.0) | (ya > 0.5)):
+        raise ValueError(f"{name}: y must lie in (0, 1/2]")
+    t1 = _f_deriv(a, ya, 1)
+    t = ya + 2.0**a * ya ** (1.0 + a)  # T(y), left branch
+    return ya, scalar, t1, _f_deriv(a, ya, 2), t / (ya * t1)
 
 
 def omega_factors(p: MapParams, y, cp: ConeParams):
@@ -266,16 +280,9 @@ def omega_factors(p: MapParams, y, cp: ConeParams):
     carries 6 T''.
     """
     a = p.alpha
-    ya = np.atleast_1d(np.asarray(y, dtype=float))
-    scalar = np.asarray(y).ndim == 0
-    if np.any((ya <= 0.0) | (ya > 0.5)):
-        raise ValueError("omega_factors: y must lie in (0, 1/2]")
-    t = ya + 2.0**a * ya ** (1.0 + a)  # T(y), left branch
-    t1 = _f_deriv(a, ya, 1)
-    t2 = _f_deriv(a, ya, 2)
+    ya, scalar, t1, t2, base = _left_branch(p, y, "omega_factors")
     t3 = np.abs(_f_deriv(a, ya, 3))
     t4 = np.abs(_f_deriv(a, ya, 4))
-    base = t / (ya * t1)
     omega1 = base * (ya * t2 / t1 + cp.b1) / cp.b1
     omega2 = base**2 * (
         3.0 * cp.b1 * ya * t2 / t1
@@ -295,23 +302,14 @@ def omega_factors(p: MapParams, y, cp: ConeParams):
         )
         / cp.b3
     )
-    if scalar:
-        return float(omega1[0]), float(omega2[0]), float(omega3[0])
-    return omega1, omega2, omega3
+    return tuple(_ret(o, scalar) for o in (omega1, omega2, omega3))
 
 
 def omega_bar_factors(p: MapParams, y, cp: ConeParams):
     """Lower-bound counterparts (Omega_bar_1, Omega_bar_2); invariance of
     the lower cone inequalities holds wherever they are >= 1."""
     a = p.alpha
-    ya = np.atleast_1d(np.asarray(y, dtype=float))
-    scalar = np.asarray(y).ndim == 0
-    if np.any((ya <= 0.0) | (ya > 0.5)):
-        raise ValueError("omega_bar_factors: y must lie in (0, 1/2]")
-    t = ya + 2.0**a * ya ** (1.0 + a)
-    t1 = _f_deriv(a, ya, 1)
-    t2 = _f_deriv(a, ya, 2)
-    base = t / (ya * t1)
+    ya, scalar, t1, t2, base = _left_branch(p, y, "omega_bar_factors")
     obar1 = base * (ya * t2 / (cp.b1_bar * t1) + 1.0)
     v = 2.0**a * a * ya**a / t1
     bracket = (
@@ -320,29 +318,12 @@ def omega_bar_factors(p: MapParams, y, cp: ConeParams):
         + 3.0 * 2.0**a * (1.0 + a) ** 2 * a * ya**a / t1
     )
     obar2 = base**2 * (1.0 + v / cp.b2_bar * bracket)
-    if scalar:
-        return float(obar1[0]), float(obar2[0])
-    return obar1, obar2
+    return tuple(_ret(o, scalar) for o in (obar1, obar2))
 
 
 # ---------------------------------------------------------------------------
 # Calibration and the invariance experiment
 # ---------------------------------------------------------------------------
-
-
-def _iterate_jets(p: MapParams, mesh: Mesh, k_max: int, order: int = 2):
-    """Chain-rule jets of L^k(1) for k = 1..k_max (mass is conserved).
-
-    Stencil differentiation of interpolation-propagated iterates amplifies
-    the cell-scale interpolation ripple by h^-order and drowns the cone
-    margins near 0, so derivatives are propagated through L exactly.
-    """
-    jet = jet_one(p, mesh, order)
-    out = []
-    for _ in range(k_max):
-        jet = jet_apply(p, jet)
-        out.append(jet)
-    return out
 
 
 def default_cone_params(
@@ -367,8 +348,7 @@ def default_cone_params(
     mesh = density.density.mesh
     mask, _ = _window(density.density, x_check)
     x = mesh.nodes[mask]
-    b1 = a_par + 1.0
-    b2 = 3.0 * b1 * (1.0 + a_par) + 21.0
+    b1, b2 = _upper_constants(a_par)
     b3 = 3.0 * b2 * (1.0 + a_par) + 2.0 * b1 + 10.0
     ygrid = np.linspace(1e-4, 0.5, 512)
     for _ in range(40):
@@ -379,7 +359,13 @@ def default_cone_params(
 
     rho = density.density.full_values()[mask]
     m1_min, m2_min, a_need = math.inf, math.inf, 1.0
-    for jet in _iterate_jets(p, mesh, k_max, order=2):
+    # Chain-rule jets of L^k(1) for k = 1..k_max (mass is conserved).
+    # Stencil differentiation of interpolation-propagated iterates amplifies
+    # the cell-scale interpolation ripple by h^-order and drowns the cone
+    # margins near 0, so derivatives are propagated through L exactly.
+    jet = jet_one(p, mesh, 2)
+    for _ in range(k_max):
+        jet = jet_apply(p, jet)
         phi, dphi, d2phi = (fv[mask] for fv in jet.full_values())
         m_phi = integrate(jet.levels[0])
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -414,14 +400,13 @@ def invariance_experiment(
     """
     if k_max < 1:
         raise ValueError("invariance_experiment: k_max must be >= 1")
-    if cone_id not in ("C2", "C3", "Cstar", "Cstar1"):
+    if cone_id not in _CONES:
         raise ValueError(f"invariance_experiment: unknown cone {cone_id!r}")
     if cp is None:
         cp = default_cone_params(p, density, k_max=k_max, x_check=x_check)
     mesh = density.density.mesh
-    order = 3 if cone_id == "C3" else 2
     reports = []
-    jet = jet_one(p, mesh, order)
+    jet = jet_one(p, mesh, _CONES[cone_id].order)
     for k in range(1, k_max + 1):
         jet = jet_apply(p, jet)
         njet = jet_apply(p, jet, branch="left")

@@ -92,24 +92,8 @@ def forward_deriv(p: MapParams, x, order: int = 1):
     left = xa < 0.5
     if order >= 2 and a > 0.0 and np.any(left & (xa == 0.0)):
         raise ValueError("forward_deriv: derivative of order >= 2 undefined at x = 0")
-    out = np.zeros_like(xa)
-    if order == 1:
-        out[...] = 2.0
-        if a > 0.0:
-            out[left] = 1.0 + 2.0**a * (a + 1.0) * xa[left] ** a
-        return _ret(out, scalar)
-    # orders 2..4 vanish identically when a == 0 (every term carries a factor a)
-    if a == 0.0:
-        return _ret(out, scalar)
-    coef = 2.0**a * (a + 1.0) * a
-    expo = a - 1.0
-    if order >= 3:
-        coef *= a - 1.0
-        expo -= 1.0
-    if order == 4:
-        coef *= a - 2.0
-        expo -= 1.0
-    out[left] = coef * xa[left] ** expo
+    out = np.full_like(xa, 2.0 if order == 1 else 0.0)
+    out[left] = _f_deriv(a, xa[left], order)
     return _ret(out, scalar)
 
 
@@ -322,11 +306,7 @@ def dalpha_g(p: MapParams, x):
 
 def _dgp(a, g, gp, G):
     """d/da of g'(x) at fixed x: -(v'(g) + T''(g) G) g'^2."""
-    if a > 0.0:
-        t2 = 2.0**a * (a + 1.0) * a * g ** (a - 1.0)
-    else:
-        t2 = np.zeros_like(g)
-    return -(_v_prime(a, g) + t2 * G) * gp**2
+    return -(_v_prime(a, g) + _f_deriv(a, g, 2) * G) * gp**2
 
 
 def dalpha_X(p: MapParams, x):
@@ -361,12 +341,8 @@ def dalpha_X_double_prime(p: MapParams, x):
     g, gp, gpp = _g_chain(p, xa, 2)
     G = -_v(a, g) * gp
     dgp = _dgp(a, g, gp, G)
-    if a > 0.0:
-        t2 = 2.0**a * (a + 1.0) * a * g ** (a - 1.0)
-        t3 = 2.0**a * (a + 1.0) * a * (a - 1.0) * g ** (a - 2.0)
-    else:
-        t2 = np.zeros_like(g)
-        t3 = np.zeros_like(g)
+    t2 = _f_deriv(a, g, 2)
+    t3 = _f_deriv(a, g, 3)
     # d/da of g''(x) = -(d_a T''(g) + T'''(g) G) g'^3 - 3 T''(g) g'^2 d_a g'
     dgpp = -(_v_second(a, g) + t3 * G) * gp**3 - 3.0 * t2 * gp**2 * dgp
     out = (

@@ -1,5 +1,5 @@
-"""Shared fixtures: densities are expensive, so one session-wide store
-hands out memoized records keyed by their full parameter set."""
+"""Shared fixtures: densities are expensive, so a module-wide store hands
+out memoized records keyed by their full parameter set."""
 
 import numpy as np
 import pytest
@@ -12,30 +12,19 @@ settings.register_profile("pmlab", derandomize=True, deadline=None)
 settings.load_profile("pmlab")
 
 
-class DensityStore:
-    def __init__(self):
-        self._meshes = {}
-        self._records = {}
-
-    def mesh(self, alpha, n=4096, L=100, x_min=1e-6):
-        key = (alpha, n, L, x_min)
-        if key not in self._meshes:
-            self._meshes[key] = build_mesh(MapParams(alpha), n, L, x_min)
-        return self._meshes[key]
-
-    def density(self, alpha, n=4096, L=100, x_min=1e-6, tol=1e-9, max_iter=200_000):
-        key = (alpha, n, L, x_min, tol, max_iter)
-        if key not in self._records:
-            mesh = self.mesh(alpha, n, L, x_min)
-            self._records[key] = compute_density(
-                MapParams(alpha), mesh, tol=tol, max_iter=max_iter
-            )
-        return self._records[key]
-
-
-@pytest.fixture(scope="session")
+@pytest.fixture(scope="module")
 def store():
-    return DensityStore()
+    cache = {}
+
+    def density(alpha, n, L, x_min, tol, max_iter=200_000):
+        key = (alpha, n, L, x_min, tol, max_iter)
+        if key not in cache:
+            p = MapParams(alpha)
+            mesh = build_mesh(p, n, L, x_min)
+            cache[key] = compute_density(p, mesh, tol=tol, max_iter=max_iter)
+        return cache[key]
+
+    return density
 
 
 @pytest.fixture()

@@ -2,7 +2,8 @@
 
 Every test prints one line ``ACCEPTANCE <n> <name>: PASS -- <details>``
 (visible with ``pytest -s`` or on failure).  Configurations and gates are
-fixed here; densities are shared through a module-scoped store.
+fixed here; densities are shared through the module-scoped ``store``
+fixture of ``conftest.py``.
 """
 
 import math
@@ -20,7 +21,6 @@ from pmlab import (
     birkhoff_average,
     build_mesh,
     build_ulam,
-    compute_density,
     contraction_factor,
     correlation_decay,
     default_cone_params,
@@ -45,21 +45,6 @@ from pmlab.response import Observable, forward_noise_scale
 
 def _report(num, name, detail):
     print(f"ACCEPTANCE {num} {name}: PASS -- {detail}")
-
-
-@pytest.fixture(scope="module")
-def store():
-    cache = {}
-
-    def density(alpha, n, L, x_min, tol, max_iter=200_000):
-        key = (alpha, n, L, x_min, tol)
-        if key not in cache:
-            p = MapParams(alpha)
-            mesh = build_mesh(p, n, L, x_min)
-            cache[key] = compute_density(p, mesh, tol=tol, max_iter=max_iter)
-        return cache[key]
-
-    return density
 
 
 # tolerance used in criteria 2/3 density runs, per alpha (polynomial

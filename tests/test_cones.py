@@ -1,5 +1,7 @@
 """Cone membership, bracket factors, invariance experiments."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,9 @@ from pmlab import (
     compute_density,
     default_cone_params,
     invariance_experiment,
+    jet_apply,
     jet_from_density,
+    jet_one,
     omega_bar_factors,
     omega_factors,
 )
@@ -246,3 +250,52 @@ class TestInvarianceExperiment:
         assert d["cone_id"] == "Cstar"
         assert set(d["margins"]) == {"positivity", "mass_bound", "deriv_lower",
                                      "deriv_upper"}
+
+
+_C2_MARGINS = ["positivity", "first_lower", "first_upper", "second_lower",
+               "second_upper"]
+_C2_PARAMS = ["cone", "x_check", "a", "b1", "b2", "b3", "b1_bar", "b2_bar"]
+# margin names and params keys of each cone's report, in insertion order
+_REPORT_SHAPES = {
+    "C2": (_C2_MARGINS, _C2_PARAMS),
+    "C3": (_C2_MARGINS + ["third_abs"], _C2_PARAMS),
+    "Cstar": (["positivity", "mass_bound", "deriv_lower", "deriv_upper"],
+              ["cone", "alpha", "a", "x_check"]),
+    "Cstar1": (["positivity", "mass_bound", "deriv_abs"],
+               ["cone", "alpha", "a", "b1", "x_check"]),
+}
+
+
+@pytest.mark.parametrize("cone", sorted(_REPORT_SHAPES))
+def test_report_shape_and_direct_check(cone, p25, rec25, mesh25):
+    margin_names, param_keys = _REPORT_SHAPES[cone]
+    cp = default_cone_params(p25, rec25, k_max=2)
+    reports = invariance_experiment(p25, cone, cp, 2, rec25)
+    assert len(reports) == 4
+    for r in reports:
+        assert r.cone_id == cone
+        assert list(r.margins) == margin_names
+        assert list(r.params) == param_keys + ["k"]
+        assert math.isnan(r.half_mass_margin) == (cone in ("C2", "C3"))
+
+    # k = 2 by hand, through a third-order jet whatever the cone needs
+    jet = jet_apply(p25, jet_apply(p25, jet_one(p25, mesh25, 3)))
+    njet = jet_apply(p25, jet, branch="left")
+    for rep, jt, a_eff in ((reports[2], jet, cp.a), (reports[3], njet, 2.0 * cp.a)):
+        f, derivs = jt.levels[0], jt.full_values()
+        if cone == "C2":
+            direct = check_C2(f, cp, subject=rep.subject, derivs=derivs)
+        elif cone == "C3":
+            direct = check_C3(f, cp, subject=rep.subject, derivs=derivs)
+        elif cone == "Cstar":
+            direct = check_Cstar(f, p25, rec25, a_eff, subject=rep.subject,
+                                 derivs=derivs)
+        else:
+            direct = check_Cstar1(f, p25, rec25, a_eff, cp.b1, subject=rep.subject,
+                                  derivs=derivs)
+        assert list(direct.params) == param_keys
+        assert direct.worst_margin == rep.worst_margin
+        assert direct.worst_node == rep.worst_node
+        assert direct.margins == rep.margins
+        assert direct.verdict == rep.verdict
+        assert direct.params == {k: v for k, v in rep.params.items() if k != "k"}
