@@ -60,17 +60,21 @@ class OrbitStats:
         return rows
 
 
+def _inverse_orbit(p: MapParams, n: int) -> np.ndarray:
+    """The neutral orbit x_0 = 1, x_l = g(x_(l-1)) for l = 1..n."""
+    x = np.empty(n + 1)
+    x[0] = 1.0
+    for ell in range(1, n + 1):
+        x[ell] = branch_inverse(p, x[ell - 1], tol=0.0)
+    return x
+
+
 def neutral_orbit(p: MapParams, ell_max: int) -> OrbitStats:
     """Iterate the branch inverse from 1 and test the orbit asymptotics."""
     if ell_max < 2:
         raise ValueError("neutral_orbit: ell_max must be >= 2")
     a = p.alpha
-    x = np.empty(ell_max + 1)
-    x[0] = 1.0
-    cur = 1.0
-    for ell in range(1, ell_max + 1):
-        cur = branch_inverse(p, cur, tol=0.0)
-        x[ell] = cur
+    x = _inverse_orbit(p, ell_max)
     if a == 0.0:
         exact = 2.0 ** (-np.arange(ell_max + 1.0))
         ok = bool(np.max(np.abs(x - exact) / exact) < 1e-12)
@@ -107,12 +111,9 @@ def contraction_factor(p: MapParams, ell: int, m: int) -> float:
         raise ValueError("contraction_factor: need ell >= 1, m >= 0")
     if m == 0:
         return 1.0
-    cur = 1.0
     log_sum = 0.0
-    for j in range(1, ell + m + 1):
-        cur = branch_inverse(p, cur, tol=0.0)
-        if j > ell:
-            log_sum += math.log(forward_deriv(p, cur, 1))
+    for d in forward_deriv(p, _inverse_orbit(p, ell + m)[ell + 1 :], 1).tolist():
+        log_sum += math.log(d)
     return math.exp(-log_sum)
 
 
@@ -128,6 +129,17 @@ def _mc_step(p: MapParams, xs: np.ndarray, rng) -> np.ndarray:
     if p.alpha == 0.0:
         xs = np.minimum(xs + rng.uniform(0.0, 2.0**-50, xs.size), 1.0 - 1e-16)
     return xs
+
+
+def _check_orbits(name, n_orbits, burn_in, min_orbits):
+    if n_orbits < min_orbits:
+        raise ValueError(f"{name}: n_orbits must be >= {min_orbits}")
+    if burn_in < 0:
+        raise ValueError(f"{name}: burn_in must be >= 0")
+
+
+# Steps per block of the Monte Carlo lag sums.
+_MC_BLOCK = 64
 
 
 @dataclass
@@ -213,6 +225,7 @@ def correlation_decay(
     if method != "montecarlo":
         raise ValueError("correlation_decay: method must be 'operator' or 'montecarlo'")
 
+    _check_orbits("correlation_decay", n_orbits, burn_in, 2)
     rng = np.random.default_rng(seed)
     xs = rng.uniform(0.0, 1.0, n_orbits)
     for _ in range(burn_in):
@@ -221,19 +234,26 @@ def correlation_decay(
     steps = orbit_len - burn_in
     if steps <= lags + 8:
         raise ValueError("correlation_decay: orbit_len too short after burn-in")
-    ring = np.empty((lags + 1, n_orbits))
+    # sums[n] accumulates psi_t phi_(t-n) one block of steps at a time.
+    # Rows [lags, lags + nb) of hist hold the block's phi and rows [0, lags)
+    # the phi of the lags steps before it (zeros before the first step, so
+    # they add nothing); psi_blk holds the block's psi.
+    hist = np.zeros((lags + _MC_BLOCK, n_orbits))
+    psi_blk = np.empty((_MC_BLOCK, n_orbits))
     sums = np.zeros((lags + 1, n_orbits))
     phi_sum = np.zeros(n_orbits)
     psi_sum = np.zeros(n_orbits)
-    for t in range(steps):
-        phi_t = np.asarray(phi_o.f(xs), dtype=float)
-        psi_t = np.asarray(psi_o.f(xs), dtype=float)
-        ring[t % (lags + 1)] = phi_t
-        phi_sum += phi_t
-        psi_sum += psi_t
-        for n in range(min(t, lags) + 1):
-            sums[n] += psi_t * ring[(t - n) % (lags + 1)]
-        xs = _mc_step(p, xs, rng)
+    for t0 in range(0, steps, _MC_BLOCK):
+        nb = min(_MC_BLOCK, steps - t0)
+        for k in range(nb):
+            hist[lags + k] = phi_o.f(xs)
+            psi_blk[k] = psi_o.f(xs)
+            phi_sum += hist[lags + k]
+            psi_sum += psi_blk[k]
+            xs = _mc_step(p, xs, rng)
+        for n in range(lags + 1):
+            sums[n] += np.einsum("tj,tj->j", psi_blk[:nb], hist[lags - n : lags - n + nb])
+        hist[:lags] = hist[nb : nb + lags]
     counts = steps - np.arange(lags + 1, dtype=float)
     # per-orbit covariance estimates: mean psi_{t+n} phi_t - psi_bar phi_bar
     per_orbit = sums / counts[:, None] - (psi_sum / steps)[None, :] * (phi_sum / steps)[None, :]
@@ -267,6 +287,7 @@ def birkhoff_average(
     each orbit as one batch.  Identical seeds reproduce identical results.
     """
     obs = parse_observable(psi)
+    _check_orbits("birkhoff_average", n_orbits, burn_in, 1)
     if orbit_len <= burn_in:
         raise ValueError("birkhoff_average: orbit_len must exceed burn_in")
     rng = np.random.default_rng(seed)

@@ -362,25 +362,31 @@ def hermite_stack(mesh: Mesh, u: np.ndarray, out: np.ndarray | None = None) -> n
     return ud
 
 
-def hermite_weights(mesh: Mesh, xq) -> sp.csr_matrix:
-    """PCHIP evaluation at the 1-d points xq as a CSR matrix: P @ [u; d].
-
-    Row k holds the cubic Hermite weights of xq[k] in its cell (i, i+1) in
-    the order u[i], d[i], u[i+1], d[i+1], unsorted and unsummed, so the
-    matvec adds the terms in that order.  Points below x_min are clipped to
-    it, where the weights are (1, 0, 0, 0): the constant extension of u.
-    """
+def _hermite_cells(mesh: Mesh, xq: np.ndarray):
+    """Left node index i of each point's cell (i, i+1) and its four cubic
+    Hermite weights on u[i], d[i], u[i+1], d[i+1].  Points below x_min are
+    clipped to it, where the weights are (1, 0, 0, 0)."""
     x = mesh.nodes
-    n = x.size
-    xq = np.asarray(xq, dtype=float)
-    idx = np.clip(np.searchsorted(x, xq, side="right") - 1, 0, n - 2)
+    idx = np.clip(np.searchsorted(x, xq, side="right") - 1, 0, x.size - 2)
     x0 = x[idx]
     hh = x[idx + 1] - x0
     t = (np.clip(xq, x[0], 1.0) - x0) / hh
     t2 = t * t
     t3 = t2 * t
-    w = (2.0 * t3 - 3.0 * t2 + 1.0, hh * (t3 - 2.0 * t2 + t), 3.0 * t2 - 2.0 * t3,
-         hh * (t3 - t2))
+    return idx, (2.0 * t3 - 3.0 * t2 + 1.0, hh * (t3 - 2.0 * t2 + t), 3.0 * t2 - 2.0 * t3,
+                 hh * (t3 - t2))
+
+
+def hermite_weights(mesh: Mesh, xq) -> sp.csr_matrix:
+    """PCHIP evaluation at the 1-d points xq as a CSR matrix: P @ [u; d].
+
+    Row k holds the cubic Hermite weights of xq[k] in its cell (i, i+1) in
+    the order u[i], d[i], u[i+1], d[i+1], unsorted and unsummed, so the
+    matvec adds the terms in that order.  Points below x_min get the
+    constant extension of u.
+    """
+    n = mesh.size
+    idx, w = _hermite_cells(mesh, np.asarray(xq, dtype=float))
     cols = np.stack((idx, idx + n, idx + 1, idx + 1 + n), axis=1, dtype=np.int32).ravel()
     P = sp.csr_matrix((np.stack(w, axis=1).ravel(), cols,
                        np.arange(0, cols.size + 1, 4, dtype=np.int32)), shape=(idx.size, 2 * n))
@@ -389,10 +395,21 @@ def hermite_weights(mesh: Mesh, xq) -> sp.csr_matrix:
 
 
 def evaluate_u(f: GridFunction, xq):
-    """Interpolate the regular factor u at xq; constant below x_min."""
+    """Interpolate the regular factor u at xq; constant below x_min.
+
+    The terms are added in the order of a ``hermite_weights`` row, so the
+    result equals that matrix's matvec without building it.
+    """
     xq = np.asarray(xq, dtype=float)
-    P = hermite_weights(f.mesh, xq.ravel())
-    return (P @ hermite_stack(f.mesh, f.values)).reshape(xq.shape)
+    n = f.mesh.size
+    idx, (w0, w1, w2, w3) = _hermite_cells(f.mesh, xq.ravel())
+    ud = hermite_stack(f.mesh, f.values)
+    u, d = ud[:n], ud[n:]
+    out = w0 * u[idx]
+    out += w1 * d[idx]
+    out += w2 * u[idx + 1]
+    out += w3 * d[idx + 1]
+    return out.reshape(xq.shape)
 
 
 def evaluate(f: GridFunction, x):

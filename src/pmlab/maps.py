@@ -103,11 +103,18 @@ def branch_inverse(p: MapParams, y, tol: float = 1e-13):
     Newton iteration started at the expansion y*(1 - 2^a y^a), safeguarded
     by bisection on [0, 1/2]; f_a is strictly increasing and convex on the
     branch so the bracket never fails.  ``tol`` bounds |f_a(g) - y|;
-    tol = 0 iterates to full double precision.
+    tol = 0 iterates to full double precision.  A scalar y runs the same
+    iteration on Python floats and returns the same bits as a 1-element
+    array, without the per-call overhead of array operations.
     """
     if tol < 0.0:
         raise ValueError("branch_inverse: tol must be >= 0")
     a = p.alpha
+    if np.ndim(y) == 0:
+        yf = float(y)
+        if yf < 0.0 or yf > 1.0:
+            raise ValueError("branch_inverse: y outside [0, 1]")
+        return 0.5 * yf if a == 0.0 else _branch_inverse_scalar(a, yf, tol)
     ya, scalar = _as_array(y)
     if np.any((ya < 0.0) | (ya > 1.0)):
         raise ValueError("branch_inverse: y outside [0, 1]")
@@ -144,6 +151,40 @@ def branch_inverse(p: MapParams, y, tol: float = 1e-13):
     if not done.all():
         raise RuntimeError("branch_inverse: Newton/bisection failed to converge")
     return _ret(g, scalar)
+
+
+def _branch_inverse_scalar(a: float, y: float, tol: float) -> float:
+    """The loop of ``branch_inverse`` on one Python float, step for step.
+
+    Every power goes through the ``np.power`` ufunc, as in the array loop,
+    so both paths return the same bits; libm ``pow`` rounds differently
+    from numpy's vectorised loop in a few per cent of cases.
+    """
+    if y == 0.0:
+        return 0.0
+    if y == 1.0:
+        return 0.5
+    pw = np.power
+    two_a = 2.0**a
+    e1 = 1.0 + a
+    c1 = two_a * (1.0 + a)
+    g = min(max(y * (1.0 - two_a * float(pw(y, a))), 0.0), 0.5)
+    lo, hi = 0.0, 0.5
+    for _ in range(100):
+        r = g + two_a * float(pw(g, e1)) - y
+        if r > 0.0:
+            hi = g
+        else:
+            lo = g
+        if abs(r) <= tol:
+            return g
+        gn = g - r / (1.0 + c1 * float(pw(g, a)))
+        if gn <= lo or gn >= hi:
+            gn = 0.5 * (lo + hi)
+        if gn == g:  # bracket collapsed to machine precision
+            return g
+        g = gn
+    raise RuntimeError("branch_inverse: Newton/bisection failed to converge")
 
 
 def _f_deriv(a: float, g, order: int):

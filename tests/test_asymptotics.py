@@ -11,7 +11,9 @@ from pmlab import (
     contraction_factor,
     correlation_decay,
     neutral_orbit,
+    parse_observable,
 )
+from pmlab.asymptotics import _fit_decay, _mc_step
 
 
 @pytest.fixture(scope="module")
@@ -128,6 +130,61 @@ class TestCorrelationDecay:
         with pytest.raises(ValueError):
             correlation_decay(MapParams(0.3), rec3, "x", "x", 20, method="banana")
 
+    # (alpha, psi, phi, N, n_orbits, orbit_len, burn_in): steps that are not
+    # a multiple of the 64-step block, N > 64, a single partial block, and
+    # the dithered alpha = 0 orbits
+    @pytest.mark.parametrize("a, psi, phi, N, n_orbits, orbit_len, burn_in", [
+        (0.3, "cos", "x", 20, 64, 700, 50),
+        (0.4, "x", "cos2", 80, 32, 600, 0),
+        (0.5, "x^2", "x", 8, 16, 40, 10),
+        (0.0, "cos", "x", 16, 48, 400, 30),
+    ])
+    def test_blocked_lag_sums_match_step_loop(self, a, psi, phi, N, n_orbits,
+                                              orbit_len, burn_in):
+        p = MapParams(a)
+        crv = correlation_decay(p, None, psi, phi, N, method="montecarlo",
+                                n_orbits=n_orbits, orbit_len=orbit_len,
+                                burn_in=burn_in, seed=9)
+        # reference: one step and one lag at a time over a ring of phi values
+        psi_f, phi_f = parse_observable(psi).f, parse_observable(phi).f
+        rng = np.random.default_rng(9)
+        xs = rng.uniform(0.0, 1.0, n_orbits)
+        for _ in range(burn_in):
+            xs = _mc_step(p, xs, rng)
+        steps = orbit_len - burn_in
+        ring = np.empty((N + 1, n_orbits))
+        sums = np.zeros((N + 1, n_orbits))
+        phi_sum = np.zeros(n_orbits)
+        psi_sum = np.zeros(n_orbits)
+        for t in range(steps):
+            phi_t, psi_t = phi_f(xs), psi_f(xs)
+            ring[t % (N + 1)] = phi_t
+            phi_sum += phi_t
+            psi_sum += psi_t
+            for n in range(min(t, N) + 1):
+                sums[n] += psi_t * ring[(t - n) % (N + 1)]
+            xs = _mc_step(p, xs, rng)
+        counts = steps - np.arange(N + 1.0)
+        per_orbit = sums / counts[:, None] - (psi_sum / steps) * (phi_sum / steps)
+        vals = per_orbit.mean(axis=1)
+        ses = per_orbit.std(axis=1, ddof=1) / np.sqrt(n_orbits)
+        expo, _ = _fit_decay(vals, max(N // 4, 1), N)
+
+        assert np.max(np.abs(crv.values - vals)) <= 1e-12 * np.max(np.abs(vals))
+        assert np.max(np.abs(crv.standard_errors - ses) / ses) <= 1e-10
+        assert abs(crv.fitted_exponent - expo) <= 1e-9
+
+    @pytest.mark.parametrize("kw, match", [
+        (dict(n_orbits=1), "n_orbits must be >= 2"),
+        (dict(n_orbits=0), "n_orbits must be >= 2"),
+        (dict(burn_in=-1), "burn_in must be >= 0"),
+    ])
+    def test_mc_validation(self, kw, match):
+        args = dict(n_orbits=16, orbit_len=256, burn_in=16) | kw
+        with pytest.raises(ValueError, match=match):
+            correlation_decay(MapParams(0.3), None, "x", "x", 8,
+                              method="montecarlo", **args)
+
 
 class TestBirkhoff:
     def test_constant(self):
@@ -154,3 +211,11 @@ class TestBirkhoff:
     def test_validation(self):
         with pytest.raises(ValueError):
             birkhoff_average(MapParams(0.3), "x", 8, 100, 200)
+
+    def test_orbit_count_and_burn_in_validation(self):
+        with pytest.raises(ValueError, match="n_orbits must be >= 1"):
+            birkhoff_average(MapParams(0.3), "x", 0, 100, 10)
+        with pytest.raises(ValueError, match="burn_in must be >= 0"):
+            birkhoff_average(MapParams(0.3), "x", 8, 100, -1)
+        mean, _ = birkhoff_average(MapParams(0.3), "x", 1, 100, 0)
+        assert 0.0 < mean < 1.0

@@ -176,6 +176,22 @@ class TestCli:
         assert stats["neutral_orbit"]["upper_ok"] is True
         assert stats["birkhoff"]["standard_error"] > 0.0
 
+    @pytest.mark.parametrize("extra", [
+        ["--method", "montecarlo", "--orbits", "1"],
+        ["--method", "operator", "--orbits", "0"],
+        ["--method", "montecarlo", "--burn-in", "-8"],
+    ])
+    def test_decay_bad_orbit_counts_exit1(self, cache_env, tmp_path, capsys, extra):
+        code = main(["decay", "--alpha", "0.3", "--mesh", "1024",
+                     "--orbit-points", "40", "--x-min", "1e-6", "--tol", "1e-8",
+                     "--N", "8", "--orbits", "16", "--orbit-len", "256",
+                     "--burn-in", "16", "--ell-max", "20",
+                     "--out", str(tmp_path / "bad")] + extra)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "n_orbits must be" in err or "burn_in must be" in err
+        assert not (tmp_path / "bad_corr.csv").exists()
+
     def test_decay_montecarlo_method(self, cache_env, tmp_path, capsys):
         prefix = str(tmp_path / "mc")
         code = main(["decay", "--alpha", "0.3", "--mesh", "1024",

@@ -158,6 +158,39 @@ class TestBranchInverse:
         g = branch_inverse(p, y, tol=0.0)
         assert abs(forward(p, g) - y) < 1e-15 * y
 
+    @pytest.mark.parametrize("tol", [0.0, 1e-13])
+    def test_scalar_kernel_matches_array_path(self, tol):
+        # a scalar y runs its own Newton loop on Python floats; it must
+        # return the bits of the array loop, including at y = 0 and y = 1
+        rng = np.random.default_rng(2)
+        ys = np.concatenate([rng.uniform(0.0, 1.0, 400),
+                             np.geomspace(1e-300, 1.0, 400), [0.0, 1.0]])
+        for a in np.linspace(0.05, 0.9, 18):
+            p = MapParams(a)
+            scalar = np.array([branch_inverse(p, y, tol=tol) for y in ys.tolist()])
+            assert np.array_equal(scalar, branch_inverse(p, ys, tol=tol)), a
+
+    def test_scalar_orbit_matches_array_orbit(self):
+        for a in (0.1, 0.5, 0.9):
+            p = MapParams(a)
+            xs, xa = [1.0], [np.array([1.0])]
+            for _ in range(3000):
+                xs.append(branch_inverse(p, xs[-1], tol=0.0))
+                xa.append(branch_inverse(p, xa[-1], tol=0.0))
+            assert np.array_equal(np.array(xs), np.concatenate(xa)), a
+
+    def test_scalar_and_array_errors_agree(self):
+        p = MapParams(0.3)
+        for y in (-0.1, 1.5, np.float64(2.0), np.array(-1e-300)):
+            for arg in (y, np.array([y])):
+                with pytest.raises(ValueError, match="y outside"):
+                    branch_inverse(p, arg)
+        for arg in (math.nan, np.array([math.nan])):
+            with pytest.raises(RuntimeError):
+                branch_inverse(p, arg)
+        with pytest.raises(ValueError, match="tol"):
+            branch_inverse(p, 0.5, tol=-1.0)
+
 
 class TestBranchInverseDeriv:
     def test_alpha_zero(self):
