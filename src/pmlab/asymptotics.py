@@ -284,7 +284,8 @@ def birkhoff_average(
 
     Orbits advance in the compensated form x + 2^a x^(1+a); the mean is the
     grand average after burn-in and the standard error comes from treating
-    each orbit as one batch.  Identical seeds reproduce identical results.
+    each orbit as one batch (NaN for a single orbit: one batch has no
+    spread).  Identical seeds reproduce identical results.
     """
     obs = parse_observable(psi)
     _check_orbits("birkhoff_average", n_orbits, burn_in, 1)
@@ -301,5 +302,5 @@ def birkhoff_average(
         xs = _mc_step(p, xs, rng)
     means = acc / steps
     grand = float(means.mean())
-    se = float(means.std(ddof=1) / math.sqrt(n_orbits)) if n_orbits > 1 else 0.0
+    se = float(means.std(ddof=1) / math.sqrt(n_orbits)) if n_orbits > 1 else math.nan
     return grand, se

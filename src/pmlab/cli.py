@@ -6,6 +6,9 @@ defaults.  Every output file carries the schema version and a hash of the
 resolved configuration, and no timestamps, so identical invocations produce
 bit-identical files (density results come from the cache on reruns).
 
+Every option is declared once, as a row of ``_OPTIONS``: that table is the
+one source of the flags, their defaults and the keys a config file may set.
+
 Exit codes: 0 ok, 1 usage/domain error, 2 numerical gate failure or
 non-convergence.
 """
@@ -22,7 +25,7 @@ import numpy as np
 
 from .maps import MapParams
 from .grid import build_mesh
-from .transfer import compute_density
+from .transfer import ConvergenceError, compute_density
 from .cache import (
     SCHEMA_VERSION,
     DensityCache,
@@ -50,40 +53,6 @@ from .response import (
 from .asymptotics import birkhoff_average, correlation_decay, neutral_orbit
 
 __all__ = ["main"]
-
-_DEFAULTS = {
-    "alpha": 0.25,
-    "mesh": 4096,
-    "orbit_points": 128,
-    "x_min": 1e-10,
-    "tol": 1e-8,
-    "max_iter": None,
-    "format": "csv",
-    "out": None,
-    "cache_dir": None,
-    "obs": "x",
-    "K": 256,
-    "series_tol": 1e-10,
-    "eps": "1e-2,5e-3",
-    "gate": 0.03,
-    "methods": "backward,forward,susceptibility",
-    "cone": "Cstar",
-    "kmax": 20,
-    "grid": 512,
-    "psi": "x",
-    "phi": "x",
-    "N": 100,
-    "method": "operator",
-    "orbits": 1024,
-    "orbit_len": 65536,
-    "burn_in": 1024,
-    "seed": 0,
-    "ell_max": 10000,
-    "alphas": "0.05:0.45:0.05",
-    "workers": 1,
-    "fd_eps": 0.0,
-    "z": 1.0,
-}
 
 
 class GateFailure(RuntimeError):
@@ -329,6 +298,9 @@ def cmd_decay(cfg) -> int:
     mean, se = birkhoff_average(p, cfg["psi"], cfg["orbits"],
                                 max(cfg["orbit_len"], 2 * cfg["burn_in"] + 8),
                                 cfg["burn_in"], cfg["seed"])
+    if not math.isfinite(se):
+        raise GateFailure(f"Birkhoff standard error undefined ({se}) "
+                          f"with {cfg['orbits']} orbit(s)")
     prefix = cfg["out"]
     if prefix is None:
         raise ValueError("decay: --out prefix is required (writes three files)")
@@ -409,19 +381,59 @@ def _rel(v, ref):
 # ---------------------------------------------------------------------------
 
 
-def _add_common(sp):
-    sp.add_argument("--alpha", type=float, help="map parameter in [0, 1)")
-    sp.add_argument("--mesh", type=int, help="graded-node count n")
-    sp.add_argument("--orbit-points", dest="orbit_points", type=int,
-                    help="neutral-orbit points L in the mesh")
-    sp.add_argument("--x-min", dest="x_min", type=float, help="mesh lower cutoff")
-    sp.add_argument("--tol", type=float, help="density L1 stopping tolerance")
-    sp.add_argument("--max-iter", dest="max_iter", type=int,
-                    help="density iteration cap")
-    sp.add_argument("--cache-dir", dest="cache_dir", help="density cache directory")
-    sp.add_argument("--out", help="output path (default stdout)")
-    sp.add_argument("--format", choices=("csv", "json"), help="output format")
-    sp.add_argument("--config", help="JSON config file (flags take precedence)")
+_COMMANDS = {
+    "density": (cmd_density, "compute/cache the invariant density"),
+    "response": (cmd_response, "linear-response series"),
+    "validate": (cmd_validate, "cross-validate response methods"),
+    "cones": (cmd_cones, "cone invariance experiment / omega table"),
+    "decay": (cmd_decay, "correlation decay + orbit + Birkhoff stats"),
+    "sweep": (cmd_sweep, "response curve over an alpha grid"),
+}
+
+_SERIES = "response validate sweep"
+
+# One row per option: key, default, the commands that take it ("*" for all)
+# and its argparse keywords.  The flag is --<key with - for _>.
+_OPTIONS = [
+    ("alpha", 0.25, "*", dict(type=float, help="map parameter in [0, 1)")),
+    ("mesh", 4096, "*", dict(type=int, help="graded-node count n")),
+    ("orbit_points", 128, "*", dict(type=int, help="neutral-orbit points L in the mesh")),
+    ("x_min", 1e-10, "*", dict(type=float, help="mesh lower cutoff")),
+    ("tol", 1e-8, "*", dict(type=float, help="density L1 stopping tolerance")),
+    ("max_iter", None, "*", dict(type=int, help="density iteration cap")),
+    ("format", "csv", "*", dict(choices=("csv", "json"), help="output format")),
+    ("out", None, "*", dict(help="output path (default stdout)")),
+    ("cache_dir", None, "*", dict(help="density cache directory")),
+    ("obs", "x", _SERIES, dict(help="observable (const,x,x^2..x^4,cos[m],ind:a:b)")),
+    ("K", 256, _SERIES, dict(type=int, help="series truncation")),
+    ("series_tol", 1e-10, _SERIES,
+     dict(type=float, help="stop when fitted tail is below this")),
+    ("eps", "1e-2,5e-3", "validate", dict(help="comma list of FD epsilons")),
+    ("gate", 0.03, "validate", dict(type=float, help="relative disagreement gate")),
+    ("methods", "backward,forward,susceptibility", "response",
+     dict(help="comma list: backward,forward,susceptibility")),
+    ("cone", "Cstar", "cones", dict(choices=("Cstar", "Cstar1", "C2", "C3", "omega"),
+                                    help="cone to test, or the omega table")),
+    ("kmax", 20, "cones", dict(type=int, help="iterate count")),
+    ("grid", 512, "cones", dict(type=int, help="y-grid size for omega table")),
+    ("psi", "x", "decay", dict(help="observable psi (also the Birkhoff mean)")),
+    ("phi", "x", "decay", dict(help="observable phi")),
+    ("N", 100, "decay", dict(type=int, help="maximum lag")),
+    ("method", "operator", "decay", dict(choices=("operator", "montecarlo"),
+                                         help="correlation method")),
+    ("orbits", 1024, "decay", dict(type=int, help="random orbits")),
+    ("orbit_len", 65536, "decay", dict(type=int, help="steps per orbit")),
+    ("burn_in", 1024, "decay", dict(type=int, help="discarded initial steps")),
+    ("seed", 0, "decay", dict(type=int, help="random seed")),
+    ("ell_max", 10000, "decay", dict(type=int, help="neutral-orbit length")),
+    ("alphas", "0.05:0.45:0.05", "sweep", dict(help="comma list or start:stop:step")),
+    ("workers", 1, "sweep", dict(type=int, help="process-pool width")),
+    ("fd_eps", 0.0, "sweep",
+     dict(type=float, help="also compute FD response at this epsilon (0 = off)")),
+    ("z", 1.0, "response", dict(type=float, help="susceptibility evaluation point")),
+]
+
+_DEFAULTS = {key: default for key, default, _, _ in _OPTIONS}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -430,76 +442,21 @@ def build_parser() -> argparse.ArgumentParser:
         description="Transfer-operator laboratory for intermittent interval maps",
     )
     sub = ap.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("density", help="compute/cache the invariant density")
-    _add_common(sp)
-
-    sp = sub.add_parser("response", help="linear-response series")
-    _add_common(sp)
-    sp.add_argument("--obs", help="observable (const,x,x^2..x^4,cos[m],ind:a:b)")
-    sp.add_argument("--K", type=int, help="series truncation")
-    sp.add_argument("--series-tol", dest="series_tol", type=float,
-                    help="stop when fitted tail is below this")
-    sp.add_argument("--methods", help="comma list: backward,forward,susceptibility")
-    sp.add_argument("--z", type=float, help="susceptibility evaluation point")
-
-    sp = sub.add_parser("validate", help="cross-validate response methods")
-    _add_common(sp)
-    sp.add_argument("--obs")
-    sp.add_argument("--K", type=int)
-    sp.add_argument("--series-tol", dest="series_tol", type=float)
-    sp.add_argument("--eps", help="comma list of FD epsilons")
-    sp.add_argument("--gate", type=float, help="relative disagreement gate")
-
-    sp = sub.add_parser("cones", help="cone invariance experiment / omega table")
-    _add_common(sp)
-    sp.add_argument("--cone", choices=("Cstar", "Cstar1", "C2", "C3", "omega"))
-    sp.add_argument("--kmax", type=int, help="iterate count")
-    sp.add_argument("--grid", type=int, help="y-grid size for omega table")
-
-    sp = sub.add_parser("decay", help="correlation decay + orbit + Birkhoff stats")
-    _add_common(sp)
-    sp.add_argument("--psi")
-    sp.add_argument("--phi")
-    sp.add_argument("--N", type=int, help="maximum lag")
-    sp.add_argument("--method", choices=("operator", "montecarlo"))
-    sp.add_argument("--orbits", type=int)
-    sp.add_argument("--orbit-len", dest="orbit_len", type=int)
-    sp.add_argument("--burn-in", dest="burn_in", type=int)
-    sp.add_argument("--seed", type=int)
-    sp.add_argument("--ell-max", dest="ell_max", type=int)
-
-    sp = sub.add_parser("sweep", help="response curve over an alpha grid")
-    _add_common(sp)
-    sp.add_argument("--alphas", help="comma list or start:stop:step")
-    sp.add_argument("--obs")
-    sp.add_argument("--K", type=int)
-    sp.add_argument("--series-tol", dest="series_tol", type=float)
-    sp.add_argument("--workers", type=int, help="process-pool width")
-    sp.add_argument("--fd-eps", dest="fd_eps", type=float,
-                    help="also compute FD response at this epsilon (0 = off)")
+    for name, (_, help_text) in _COMMANDS.items():
+        # unset flags stay out of the namespace, so config and defaults fill them
+        sp = sub.add_parser(name, help=help_text, argument_default=argparse.SUPPRESS)
+        for key, _, commands, kwargs in _OPTIONS:
+            if commands == "*" or name in commands.split():
+                sp.add_argument("--" + key.replace("_", "-"), **kwargs)
+        sp.add_argument("--config", help="JSON config file (flags take precedence)")
     return ap
 
 
-_COMMANDS = {
-    "density": cmd_density,
-    "response": cmd_response,
-    "validate": cmd_validate,
-    "cones": cmd_cones,
-    "decay": cmd_decay,
-    "sweep": cmd_sweep,
-}
-
-
 def main(argv=None) -> int:
-    ap = build_parser()
-    ns = ap.parse_args(argv)
-    # drop unset flags so config/defaults can fill them
-    ns_dict = argparse.Namespace(**{k: v for k, v in vars(ns).items() if v is not None})
+    ns = build_parser().parse_args(argv)
     try:
-        cfg = _resolved(ns_dict)
-        return _COMMANDS[ns.command](cfg)
-    except GateFailure as exc:
+        return _COMMANDS[ns.command][0](_resolved(ns))
+    except (GateFailure, ConvergenceError) as exc:
         print(f"pmlab: gate failure: {exc}", file=sys.stderr)
         return 2
     except (ValueError, OSError, ResponseDivergenceError) as exc:

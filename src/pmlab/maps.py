@@ -69,7 +69,7 @@ def forward(p: MapParams, x):
     """
     a = p.alpha
     xa, scalar = _as_array(x)
-    if np.any((xa < 0.0) | (xa > 1.0)):
+    if not np.all((xa >= 0.0) & (xa <= 1.0)):
         raise ValueError("forward: x outside [0, 1]")
     left = xa + 2.0**a * xa ** (1.0 + a)
     out = np.where(xa < 0.5, left, 2.0 * xa - 1.0)
@@ -87,7 +87,7 @@ def forward_deriv(p: MapParams, x, order: int = 1):
         raise ValueError("forward_deriv: order must be 1..4")
     a = p.alpha
     xa, scalar = _as_array(x)
-    if np.any((xa < 0.0) | (xa > 1.0)):
+    if not np.all((xa >= 0.0) & (xa <= 1.0)):
         raise ValueError("forward_deriv: x outside [0, 1]")
     left = xa < 0.5
     if order >= 2 and a > 0.0 and np.any(left & (xa == 0.0)):
@@ -112,11 +112,11 @@ def branch_inverse(p: MapParams, y, tol: float = 1e-13):
     a = p.alpha
     if np.ndim(y) == 0:
         yf = float(y)
-        if yf < 0.0 or yf > 1.0:
+        if not 0.0 <= yf <= 1.0:
             raise ValueError("branch_inverse: y outside [0, 1]")
         return 0.5 * yf if a == 0.0 else _branch_inverse_scalar(a, yf, tol)
     ya, scalar = _as_array(y)
-    if np.any((ya < 0.0) | (ya > 1.0)):
+    if not np.all((ya >= 0.0) & (ya <= 1.0)):
         raise ValueError("branch_inverse: y outside [0, 1]")
     if a == 0.0:
         return _ret(0.5 * ya, scalar)
@@ -236,7 +236,7 @@ def branch_inverse_deriv(p: MapParams, y, order: int = 1):
     if order not in (1, 2, 3):
         raise ValueError("branch_inverse_deriv: order must be 1..3")
     ya, scalar = _as_array(y)
-    if np.any((ya < 0.0) | (ya > 1.0)):
+    if not np.all((ya >= 0.0) & (ya <= 1.0)):
         raise ValueError("branch_inverse_deriv: y outside [0, 1]")
     if order >= 2 and p.alpha > 0.0 and np.any(ya <= 0.0):
         raise ValueError("branch_inverse_deriv: y must be > 0 for order >= 2")
@@ -297,8 +297,8 @@ def _dv_second(a, y):
 
 
 def _check_unit(xa, name, allow_zero=False):
-    lo_bad = (xa < 0.0) if allow_zero else (xa <= 0.0)
-    if np.any(lo_bad | (xa > 1.0)):
+    lo_ok = (xa >= 0.0) if allow_zero else (xa > 0.0)
+    if not np.all(lo_ok & (xa <= 1.0)):
         dom = "[0, 1]" if allow_zero else "(0, 1]"
         raise ValueError(f"{name}: x outside {dom}")
 

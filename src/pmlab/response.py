@@ -31,6 +31,7 @@ from .grid import (
     integrate,
 )
 from .transfer import (
+    ConvergenceError,
     DensityRecord,
     apply_L,
     apply_N,
@@ -255,7 +256,7 @@ def _fit_tail(terms: np.ndarray, k0: int = 1):
     return r, tail
 
 
-def _series_result(p, obs_name, terms, k_used, tol, method) -> ResponseResult:
+def _series_result(p, obs_name, terms, k_used, method) -> ResponseResult:
     arr = np.asarray(terms)
     r, tail = _fit_tail(arr)
     diverged = bool(math.isinf(tail) if not math.isnan(r) else False)
@@ -301,7 +302,7 @@ def response_series(
             _, tail = _fit_tail(np.asarray(terms))
             if not math.isinf(tail) and abs(tail) < tol:
                 break
-    return _series_result(p, obs.name, terms, len(terms) - 1, tol, "series_backward")
+    return _series_result(p, obs.name, terms, len(terms) - 1, "series_backward")
 
 
 def response_series_forward(
@@ -309,7 +310,6 @@ def response_series_forward(
     d: DensityRecord,
     obs,
     K: int = 64,
-    tol: float = 1e-10,
 ) -> ResponseResult:
     """Forward (pull-back) series: t_k = int (psi o T^k) Y dx.
 
@@ -331,7 +331,7 @@ def response_series_forward(
         terms.append(integrate(GridFunction(mesh, psi_k * y.values, y.s)))
         if k < K:
             orbit = forward(p, orbit)
-    return _series_result(p, obs.name, terms, len(terms) - 1, tol, "series_forward")
+    return _series_result(p, obs.name, terms, len(terms) - 1, "series_forward")
 
 
 def forward_noise_scale(mesh: Mesh, obs, d: DensityRecord) -> float:
@@ -459,7 +459,8 @@ def finite_difference_response(
     Central quotient (one-sided upward at the a = 0 boundary), computed on
     the *same* mesh so discretization bias cancels; returns the natural
     derivative quotient (int psi d mu_{a+eps} - int psi d mu_{a-eps})/(2 eps)
-    to match the series orientation.
+    to match the series orientation.  A density that does not converge
+    raises ``ConvergenceError``.
     """
     if eps <= 0.0:
         raise ValueError("finite_difference_response: eps must be > 0")
@@ -471,7 +472,7 @@ def finite_difference_response(
     def mean_at(alpha_val: float) -> float:
         rec = compute_density(MapParams(alpha_val), mesh, tol=tol, max_iter=max_iter)
         if not rec.converged:
-            raise ValueError(
+            raise ConvergenceError(
                 f"finite_difference_response: density at alpha={alpha_val:.6f} "
                 f"not converged (residual {rec.residual:.3e})"
             )

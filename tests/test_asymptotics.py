@@ -1,5 +1,8 @@
 """Neutral orbit, distortion, correlation decay, Birkhoff oracle."""
 
+import math
+import warnings
+
 import numpy as np
 import pytest
 
@@ -219,3 +222,10 @@ class TestBirkhoff:
             birkhoff_average(MapParams(0.3), "x", 8, 100, -1)
         mean, _ = birkhoff_average(MapParams(0.3), "x", 1, 100, 0)
         assert 0.0 < mean < 1.0
+
+    def test_one_orbit_has_no_standard_error(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            mean, se = birkhoff_average(MapParams(0.3), "x", 1, 100, 10)
+        assert 0.0 < mean < 1.0
+        assert math.isnan(se)

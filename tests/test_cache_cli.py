@@ -1,11 +1,12 @@
 """Density cache discipline and the command-line surface."""
 
+import argparse
 import json
 
 import numpy as np
 import pytest
 
-from pmlab import MapParams, build_mesh, compute_density
+from pmlab import MapParams, build_mesh, cli, compute_density
 from pmlab.cache import (
     DensityCache,
     cache_key,
@@ -205,6 +206,26 @@ class TestCli:
         stats = json.loads((tmp_path / "mc_stats.json").read_text())
         assert stats["correlation"]["method"] == "montecarlo"
 
+    def test_decay_one_orbit_standard_error_exit2(self, cache_env, tmp_path, capsys):
+        code = main(["decay", "--alpha", "0.3", "--mesh", "1024",
+                     "--orbit-points", "40", "--x-min", "1e-6", "--tol", "1e-8",
+                     "--N", "8", "--method", "operator", "--orbits", "1",
+                     "--orbit-len", "256", "--burn-in", "16", "--ell-max", "20",
+                     "--out", str(tmp_path / "one")])
+        assert code == 2
+        assert "standard error" in capsys.readouterr().err
+        assert not list(tmp_path.glob("one_*"))
+
+    @pytest.mark.parametrize("cmd", [
+        ["validate"],
+        ["sweep", "--alphas", "0.25", "--fd-eps", "1e-2"],
+    ])
+    def test_fd_density_not_converged_exit2(self, cache_env, tmp_path, capsys, cmd):
+        flags = ["--alpha", "0.25", "--mesh", "1024", "--orbit-points", "40"]
+        assert main(["density"] + flags + ["--out", str(tmp_path / "d.csv")]) == 0
+        assert main(cmd + flags + ["--max-iter", "5"]) == 2
+        assert "not converged" in capsys.readouterr().err
+
     def test_sweep_columns(self, cache_env, tmp_path, capsys):
         out = tmp_path / "s.csv"
         code = main(["sweep", "--alphas", "0.0,0.1", "--obs", "x",
@@ -233,3 +254,68 @@ class TestCli:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"bogus": 1}))
         assert main(["density", "--config", str(cfg)]) == 1
+
+
+COMMON_FLAGS = [
+    ("--alpha", "float", None), ("--cache-dir", None, None),
+    ("--config", None, None), ("--format", None, ["csv", "json"]),
+    ("--max-iter", "int", None), ("--mesh", "int", None),
+    ("--orbit-points", "int", None), ("--out", None, None),
+    ("--tol", "float", None), ("--x-min", "float", None),
+]
+SERIES_FLAGS = [("--K", "int", None), ("--obs", None, None),
+                ("--series-tol", "float", None)]
+COMMAND_FLAGS = {
+    "density": [],
+    "response": SERIES_FLAGS + [("--methods", None, None), ("--z", "float", None)],
+    "validate": SERIES_FLAGS + [("--eps", None, None), ("--gate", "float", None)],
+    "cones": [("--cone", None, ["Cstar", "Cstar1", "C2", "C3", "omega"]),
+              ("--grid", "int", None), ("--kmax", "int", None)],
+    "decay": [("--N", "int", None), ("--burn-in", "int", None),
+              ("--ell-max", "int", None), ("--method", None, ["operator", "montecarlo"]),
+              ("--orbit-len", "int", None), ("--orbits", "int", None),
+              ("--phi", None, None), ("--psi", None, None), ("--seed", "int", None)],
+    "sweep": SERIES_FLAGS + [("--alphas", None, None), ("--fd-eps", "float", None),
+                             ("--workers", "int", None)],
+}
+DEFAULT_CONFIG = {
+    "alpha": 0.25, "mesh": 4096, "orbit_points": 128, "x_min": 1e-10,
+    "tol": 1e-8, "max_iter": None, "format": "csv", "out": None,
+    "cache_dir": None, "obs": "x", "K": 256, "series_tol": 1e-10,
+    "eps": "1e-2,5e-3", "gate": 0.03,
+    "methods": "backward,forward,susceptibility", "cone": "Cstar", "kmax": 20,
+    "grid": 512, "psi": "x", "phi": "x", "N": 100, "method": "operator",
+    "orbits": 1024, "orbit_len": 65536, "burn_in": 1024, "seed": 0,
+    "ell_max": 10000, "alphas": "0.05:0.45:0.05", "workers": 1, "fd_eps": 0.0,
+    "z": 1.0,
+}
+
+
+def test_cli_surface(monkeypatch, capsys):
+    """Each command's flags (type, choices) and its resolved default config."""
+    ap = cli.build_parser()
+    (sub,) = [a for a in ap._actions if isinstance(a, argparse._SubParsersAction)]
+    assert sorted(sub.choices) == sorted(COMMAND_FLAGS)
+    resolved = cli._resolved
+    seen = []
+
+    def stop_after_resolving(ns):
+        seen.append(resolved(ns))
+        raise ValueError("stop")
+
+    monkeypatch.setattr(cli, "_resolved", stop_after_resolving)
+    for name, sp in sub.choices.items():
+        flags = []
+        for a in sp._actions:
+            if a.option_strings == ["-h", "--help"]:
+                continue
+            (flag,) = a.option_strings
+            assert a.dest == flag[2:].replace("-", "_")
+            flags.append((flag, getattr(a.type, "__name__", None),
+                          list(a.choices) if a.choices else None))
+        assert sorted(flags) == sorted(COMMON_FLAGS + COMMAND_FLAGS[name]), name
+        assert main([name]) == 1
+        # repr keeps the types: 0 and 0.0 give different config hashes
+        expected = {**DEFAULT_CONFIG, "command": name}
+        assert {k: repr(v) for k, v in seen.pop().items()} == \
+            {k: repr(v) for k, v in expected.items()}, name

@@ -186,7 +186,7 @@ class TestBranchInverse:
                 with pytest.raises(ValueError, match="y outside"):
                     branch_inverse(p, arg)
         for arg in (math.nan, np.array([math.nan])):
-            with pytest.raises(RuntimeError):
+            with pytest.raises(ValueError, match="y outside"):
                 branch_inverse(p, arg)
         with pytest.raises(ValueError, match="tol"):
             branch_inverse(p, 0.5, tol=-1.0)
@@ -333,3 +333,13 @@ class TestPerturbationFields:
                 fn(p, 0.0)
         with pytest.raises(ValueError):
             X(p, -0.5)
+
+    def test_nan_is_outside_the_domain(self):
+        p = MapParams(0.3)
+        fns = (forward, forward_deriv, branch_inverse, branch_inverse_deriv, X,
+               X_prime, X_double_prime, dalpha_g, dalpha_X, dalpha_X_prime,
+               dalpha_X_double_prime)
+        for fn in fns:
+            for arg in (math.nan, np.array([0.25, math.nan])):
+                with pytest.raises(ValueError, match="outside"):
+                    fn(p, arg)
