@@ -64,7 +64,6 @@ def density_record_from_dict(d: dict) -> DensityRecord:
         residual=float(d["residual"]),
         normalization=float(d["normalization"]),
         tol=float(d["tol"]),
-        converged=bool(d["converged"]),
     )
 
 

@@ -10,7 +10,10 @@ Every option is declared once, as a row of ``_OPTIONS``: that table is the
 one source of the flags, their defaults and the keys a config file may set.
 
 Exit codes: 0 ok, 1 usage/domain error, 2 numerical gate failure or
-non-convergence.
+non-convergence.  Every command that needs the invariant density passes
+its record through ``DensityRecord.require_converged()``, the one
+convergence gate; ``density`` alone writes a flagged record before it
+exits 2.
 """
 
 import argparse
@@ -121,33 +124,25 @@ def _emit(path, cfg, header, rows, json_payload):
         _write_csv(path, cfg, header, rows)
 
 
-def _get_density(cfg, alpha=None, tol=None):
+def _get_density(cfg, alpha=None):
     """Cache-backed density for the configured mesh.
 
     Only converged records are stored, and a stored unconverged one (from
     an older version) is recomputed: ``max_iter`` is not part of the key.
+    The record may still be unconverged; callers gate it with
+    ``rec.require_converged()``.
     """
     alpha = cfg["alpha"] if alpha is None else alpha
-    tol = cfg["tol"] if tol is None else tol
     p = MapParams(alpha)
     mesh = build_mesh(p, cfg["mesh"], cfg["orbit_points"], cfg["x_min"])
-    key = cache_key(alpha, mesh.spec(), tol)
+    key = cache_key(alpha, mesh.spec(), cfg["tol"])
     cache = DensityCache(resolve_cache_dir(cfg["cache_dir"]))
     rec = cache.get(key)
     if rec is None or not rec.converged:
-        rec = compute_density(p, mesh, tol=tol, max_iter=cfg["max_iter"])
+        rec = compute_density(p, mesh, tol=cfg["tol"], max_iter=cfg["max_iter"])
         if rec.converged:
             cache.put(key, rec)
     return p, rec, key
-
-
-def _converged_density(cfg):
-    """``_get_density``'s map and record, or a gate failure (exit 2) when
-    the record did not converge."""
-    p, rec, _ = _get_density(cfg)
-    if not rec.converged:
-        raise GateFailure(f"density not converged (residual {rec.residual:.3e})")
-    return p, rec
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +173,8 @@ def cmd_density(cfg) -> int:
 
 
 def cmd_response(cfg) -> int:
-    p, rec = _converged_density(cfg)
+    p, rec, _ = _get_density(cfg)
+    rec.require_converged()
     methods = [m.strip() for m in str(cfg["methods"]).split(",") if m.strip()]
     obs = parse_observable(cfg["obs"])
     results = {}
@@ -204,7 +200,8 @@ def cmd_response(cfg) -> int:
 
 
 def cmd_validate(cfg) -> int:
-    p, rec = _converged_density(cfg)
+    p, rec, _ = _get_density(cfg)
+    rec.require_converged()
     obs = parse_observable(cfg["obs"])
     series = response_series(p, rec, obs, cfg["K"], cfg["series_tol"])
     rows = [("series_backward", series.value, math.nan)]
@@ -271,7 +268,7 @@ def cmd_cones(cfg) -> int:
                "max": {"omega1": float(np.max(o1)), "omega2": float(np.max(o2)),
                        "omega3": float(np.max(o3))}})
         return 0
-    _, rec = _converged_density(cfg)
+    rec = _get_density(cfg)[1].require_converged()
     cp = default_cone_params(p, rec, k_max=cfg["kmax"])
     reports = invariance_experiment(p, cfg["cone"], cp, cfg["kmax"], rec)
     rows = [
@@ -288,7 +285,11 @@ def cmd_cones(cfg) -> int:
 
 
 def cmd_decay(cfg) -> int:
-    p, rec = _converged_density(cfg)
+    prefix = cfg["out"]
+    if prefix is None:
+        raise ValueError("decay: --out prefix is required (writes three files)")
+    p, rec, _ = _get_density(cfg)
+    rec.require_converged()
     curve = correlation_decay(
         p, rec, cfg["psi"], cfg["phi"], cfg["N"], method=cfg["method"],
         n_orbits=cfg["orbits"], orbit_len=cfg["orbit_len"],
@@ -301,9 +302,6 @@ def cmd_decay(cfg) -> int:
     if not math.isfinite(se):
         raise GateFailure(f"Birkhoff standard error undefined ({se}) "
                           f"with {cfg['orbits']} orbit(s)")
-    prefix = cfg["out"]
-    if prefix is None:
-        raise ValueError("decay: --out prefix is required (writes three files)")
     _write_csv(f"{prefix}_corr.csv", cfg, ["n", "C_n"],
                list(enumerate(curve.values.tolist())))
     _write_csv(f"{prefix}_orbit.csv", cfg, ["ell", "x_ell", "bound", "margin"],
@@ -339,8 +337,6 @@ def _parse_alphas(spec: str) -> list[float]:
 
 def _sweep_one(cfg, alpha):
     p, rec, _ = _get_density(cfg, alpha=alpha)
-    if not rec.converged:
-        return (alpha, cfg["obs"], math.nan, math.nan, 0, math.nan, math.nan)
     res = response_series(p, rec, cfg["obs"], cfg["K"], cfg["series_tol"])
     fd_val = math.nan
     rel = math.nan

@@ -309,12 +309,6 @@ class GridFunction:
 
     __rmul__ = __mul__
 
-    def __neg__(self):
-        return GridFunction(self.mesh, -self.values, self.s)
-
-    def __abs__(self):
-        return GridFunction(self.mesh, np.abs(self.values), self.s)
-
 
 # ---------------------------------------------------------------------------
 # PCHIP (Fritsch-Carlson) slopes and Hermite evaluation, vectorized.

@@ -271,10 +271,6 @@ def _v_second(a, y):
     return 2.0**a * y ** (a - 1.0) * ((a + a * a) * _log2y(y) + 1.0 + 2.0 * a)
 
 
-def _v_third(a, y):
-    return 2.0**a * y ** (a - 2.0) * (a * (a * a - 1.0) * _log2y(y) + 3.0 * a * a - 1.0)
-
-
 def _dv(a, y):
     l2y = _log2y(y)
     with np.errstate(invalid="ignore"):
@@ -383,11 +379,16 @@ def dalpha_X_double_prime(p: MapParams, x):
     G = -_v(a, g) * gp
     dgp = _dgp(a, g, gp, G)
     t2 = _f_deriv(a, g, 2)
-    t3 = _f_deriv(a, g, 3)
+    # v'''(g) G and T'''(g) G, with the powers of g combined in
+    # k = 2^a g^(a-2) G = -4^a g^(2a-1) log(2g) g' so that none overflows
+    l2y = _log2y(g)
+    k = -(4.0**a) * g ** (2.0 * a - 1.0) * l2y * gp
+    v3G = k * (a * (a * a - 1.0) * l2y + 3.0 * a * a - 1.0)
+    t3G = k * (a + 1.0) * a * (a - 1.0)
     # d/da of g''(x) = -(d_a T''(g) + T'''(g) G) g'^3 - 3 T''(g) g'^2 d_a g'
-    dgpp = -(_v_second(a, g) + t3 * G) * gp**3 - 3.0 * t2 * gp**2 * dgp
+    dgpp = -(_v_second(a, g) + t3G) * gp**3 - 3.0 * t2 * gp**2 * dgp
     out = (
-        (_dv_second(a, g) + _v_third(a, g) * G) * gp**2
+        (_dv_second(a, g) + v3G) * gp**2
         + _v_second(a, g) * 2.0 * gp * dgp
         + (_dv_prime(a, g) + _v_second(a, g) * G) * gpp
         + _v_prime(a, g) * dgpp

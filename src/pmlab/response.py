@@ -8,6 +8,8 @@ Differentiating the fixed-point equation L rho = rho in the parameter gives
 and ``response_series``, ``response_series_forward``, ``susceptibility``
 and ``finite_difference_response`` all return this natural derivative
 (equivalently, the negated one-sided quotient (mu_a - mu_{a+eps})/eps).
+Each of them needs a converged density and raises ``ConvergenceError``
+(through ``DensityRecord.require_converged()``) for one that is not.
 
 The resolvent (id - L)^(-1) is realized only as the truncated Neumann sum:
 Y has zero mean, the terms decay polynomially, and a direct solve would
@@ -31,7 +33,6 @@ from .grid import (
     integrate,
 )
 from .transfer import (
-    ConvergenceError,
     DensityRecord,
     apply_L,
     apply_N,
@@ -174,13 +175,6 @@ class ResponseResult:
         }
 
 
-def _require_converged(d: DensityRecord):
-    if not d.converged:
-        raise ValueError(
-            f"density not converged (residual {d.residual:.3e} > tol {d.tol:.1e})"
-        )
-
-
 def response_source(p: MapParams, d: DensityRecord) -> GridFunction:
     """Source term Y = (X * N rho)' in Leibniz form X' N rho + X (N rho)'.
 
@@ -188,7 +182,7 @@ def response_source(p: MapParams, d: DensityRecord) -> GridFunction:
     X ~ x^(1+a) log kills the x^(-1-a) of rho'.  Returned with exponent 0;
     its integral vanishes up to quadrature error since X(0) = X(1) = 0.
     """
-    _require_converged(d)
+    d.require_converged()
     mesh = d.density.mesh
     x = mesh.nodes
     nf = apply_N(p, d.density)
@@ -288,7 +282,7 @@ def response_series(
     if K < 1:
         raise ValueError("response_series: K must be >= 1")
     obs = parse_observable(obs)
-    _require_converged(d)
+    d.require_converged()
     mesh = d.density.mesh
     psi = np.asarray(obs.f(mesh.nodes), dtype=float)
     w = _zero_mean_source(p, d)
@@ -321,7 +315,7 @@ def response_series_forward(
     if K < 1:
         raise ValueError("response_series_forward: K must be >= 1")
     obs = parse_observable(obs)
-    _require_converged(d)
+    d.require_converged()
     mesh = d.density.mesh
     y = _zero_mean_source(p, d)
     orbit = mesh.nodes.copy()
@@ -429,7 +423,7 @@ def susceptibility(
             f"susceptibility series for {obs.name!r} diverges like 2^k: "
             f"psi(1) - psi(0) = {jump:.3g} != 0 feeds the branch-boundary jump terms"
         )
-    _require_converged(d)
+    d.require_converged()
     mesh = d.density.mesh
     psi_p = np.asarray(obs.fprime(mesh.nodes), dtype=float)
     nr = apply_N(p, d.density)
@@ -471,12 +465,7 @@ def finite_difference_response(
 
     def mean_at(alpha_val: float) -> float:
         rec = compute_density(MapParams(alpha_val), mesh, tol=tol, max_iter=max_iter)
-        if not rec.converged:
-            raise ConvergenceError(
-                f"finite_difference_response: density at alpha={alpha_val:.6f} "
-                f"not converged (residual {rec.residual:.3e})"
-            )
-        return observable_mean(obs, rec)
+        return observable_mean(obs, rec.require_converged())
 
     if a - eps < 0.0:
         return (mean_at(a + eps) - mean_at(a)) / eps

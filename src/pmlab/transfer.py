@@ -88,6 +88,9 @@ class DensityRecord:
     The density is stored as x^(-alpha) * u(x); ``residual`` is the L1
     distance between the last two normalized iterates and ``normalization``
     the quadrature integral after the final renormalization.
+    ``converged`` is derived from ``residual`` and ``tol``, and
+    ``require_converged()`` is the one gate for every computation that
+    needs the invariant density.
     """
 
     params: MapParams
@@ -96,7 +99,19 @@ class DensityRecord:
     residual: float
     normalization: float
     tol: float
-    converged: bool
+
+    @property
+    def converged(self) -> bool:
+        return self.residual <= self.tol
+
+    def require_converged(self) -> "DensityRecord":
+        """This record, or ``ConvergenceError`` if it did not converge."""
+        if not self.converged:
+            raise ConvergenceError(
+                f"density at alpha={self.params.alpha:g} not converged "
+                f"(residual {self.residual:.3e} > tol {self.tol:.1e})"
+            )
+        return self
 
     def envelope_band(self, x_lo: float = 0.0) -> tuple[float, float]:
         """Fitted [c1, c2] with c1 <= rho(x) x^alpha <= c2 on nodes >= x_lo."""
@@ -384,7 +399,8 @@ def compute_density(
 
     Stops when the L1 distance between successive normalized iterates drops
     below ``tol``; if the budget runs out first the record comes back with
-    ``converged=False`` (callers that need a converged density must check).
+    ``converged`` false (callers that need a converged density call
+    ``require_converged()``).
     """
     if tol <= 0.0:
         raise ValueError("compute_density: tol must be > 0")
@@ -408,7 +424,7 @@ def compute_density(
     f = GridFunction(mesh, u, a)
     return DensityRecord(params=p, density=f, iterations=iterations,
                          residual=float(residual), normalization=integrate(f),
-                         tol=float(tol), converged=residual <= tol)
+                         tol=float(tol))
 
 
 # ---------------------------------------------------------------------------

@@ -236,6 +236,48 @@ class TestCli:
         assert lines[1] == "alpha,observable,value,tail,k_used,fd_value,rel_diff"
         assert len(lines) == 4
 
+    def test_sweep_own_density_not_converged_exit2(self, cache_env, tmp_path, capsys):
+        out = tmp_path / "s.csv"
+        code = main(["sweep", "--alphas", "0.2,0.3", "--mesh", "1024",
+                     "--orbit-points", "40", "--max-iter", "5", "--out", str(out)])
+        assert code == 2
+        assert "density at alpha=0.2 not converged" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_sweep_worker_pool_matches_serial(self, tmp_path, capsys):
+        flags = ["sweep", "--alphas", "0.05,0.1", "--obs", "x", "--mesh", "512",
+                 "--orbit-points", "24", "--x-min", "1e-7", "--K", "64"]
+        runs = {}
+        for w in ("1", "2"):
+            out, cache = tmp_path / f"s{w}.csv", tmp_path / f"cache{w}"
+            assert main(flags + ["--workers", w, "--cache-dir", str(cache),
+                                 "--out", str(out)]) == 0
+            records = {f.name: f.read_bytes() for f in cache.glob("density-*.json")}
+            runs[w] = out.read_text().split("\n", 1), records
+        (head1, rows1), rec1 = runs["1"]
+        (head2, rows2), rec2 = runs["2"]
+        # the first line carries the config hash, which covers --workers
+        assert head1.split(" config=")[0] == head2.split(" config=")[0]
+        assert rows1 == rows2 and len(rows1.splitlines()) == 3
+        assert len(rec1) == 2 and rec1 == rec2
+
+    def test_sweep_worker_not_converged_exit2(self, cache_env, tmp_path, capsys):
+        out = tmp_path / "s.csv"
+        code = main(["sweep", "--alphas", "0.2,0.3", "--workers", "2",
+                     "--mesh", "1024", "--orbit-points", "40", "--max-iter", "5",
+                     "--out", str(out)])
+        assert code == 2
+        assert "not converged" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_decay_without_out_exits_before_work(self, cache_env, capsys):
+        code = main(["decay", "--alpha", "0.3", "--mesh", "1024",
+                     "--orbit-points", "40", "--N", "8", "--orbits", "256",
+                     "--orbit-len", "8192"])
+        assert code == 1
+        assert "--out prefix is required" in capsys.readouterr().err
+        assert not list((cache_env / "cache").glob("density-*.json"))
+
     def test_config_file_and_flag_precedence(self, cache_env, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"alpha": 0.0, "mesh": 256, "orbit_points": 16,

@@ -6,6 +6,7 @@ live since they are cheap.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -267,6 +268,24 @@ class TestPerturbationFields:
             assert np.max(np.abs(fd - closed)) < 1e-7 * max(
                 np.max(np.abs(closed)), 1.0
             )
+
+    @pytest.mark.parametrize("a", [0.1, 0.25, 0.5, 0.9])
+    def test_dalpha_X_double_prime_finite_at_tiny_x(self, a):
+        # v'''(g) and T'''(g) grow like g^(a-2) and overflow below about
+        # 1e-200; their products with G = d_a g must not.  The central
+        # difference of X'' with h = 1e-6 is the oracle (the tolerance of
+        # the test above is absolute in max|closed| and does not fit here);
+        # its truncation error, about h^2 log(x)^2 / 6, stays below 1e-7
+        # down to the smallest subnormal.
+        xs = np.array([1e-200, 1e-300, 5e-324])
+        h = 1e-6
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            fd = (X_double_prime(MapParams(a + h), xs)
+                  - X_double_prime(MapParams(a - h), xs)) / (2 * h)
+            closed = dalpha_X_double_prime(MapParams(a), xs)
+        assert np.all(np.isfinite(closed))
+        assert np.all(np.abs(closed - fd) <= 1e-6 * np.abs(fd))
 
     def test_dalpha_X_at_one_matches_fd(self):
         # X_b(1) = 0 for every b (g_b(1) = 1/2 kills log(2g)), so the

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from pmlab import (
+    ConvergenceError,
     GridFunction,
     MapParams,
     Observable,
@@ -93,7 +94,7 @@ class TestResponseSource:
     def test_requires_converged(self, p25):
         mesh = build_mesh(p25, 4096, 60, 1e-6)
         rec = compute_density(p25, mesh, tol=1e-13, max_iter=2)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConvergenceError, match="not converged"):
             response_source(p25, rec)
 
 

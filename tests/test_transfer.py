@@ -1,5 +1,6 @@
 """Transfer operators, parameter derivatives, densities, Ulam oracle."""
 
+import dataclasses
 import gc
 import weakref
 
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pmlab import (
+    ConvergenceError,
     GridFunction,
     Jet,
     MapParams,
@@ -293,6 +295,16 @@ class TestComputeDensity:
         assert not rec.converged
         assert rec.iterations == 3
         assert rec.residual > 1e-13
+
+    def test_require_converged_is_the_gate(self, p3, mesh3, rec3):
+        assert rec3.require_converged() is rec3
+        rec = compute_density(p3, mesh3, tol=1e-13, max_iter=3)
+        with pytest.raises(ConvergenceError,
+                           match=r"alpha=0.3 not converged \(residual .* > tol 1.0e-13\)"):
+            rec.require_converged()
+        # the flag is derived from residual and tol, never stored
+        assert dataclasses.replace(rec, tol=rec.residual).converged
+        assert not dataclasses.replace(rec3, residual=2.0 * rec3.tol).converged
 
     @pytest.mark.parametrize("max_iter", [8, 16, 64, None])
     def test_raw_loop_is_the_power_iteration(self, p3, mesh3, max_iter):
