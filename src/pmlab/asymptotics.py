@@ -15,7 +15,7 @@ import numpy as np
 
 from .maps import MapParams, branch_inverse, forward, forward_deriv
 from .grid import GridFunction, integrate
-from .response import parse_observable
+from .response import observable_mean, parse_observable
 from .transfer import DensityRecord, apply_L
 
 __all__ = [
@@ -208,8 +208,7 @@ def correlation_decay(
         # from phi itself -- centering the function would destroy a
         # vanishing-near-zero support property and degrade the decay rate
         # from n^(-1/a) to the generic n^(1 - 1/a)
-        mean_phi = integrate(GridFunction(mesh, phi_vals * d.density.values, d.density.s))
-        mean_psi = integrate(GridFunction(mesh, psi_vals * d.density.values, d.density.s))
+        mean_phi, mean_psi = observable_mean(phi_o, d), observable_mean(psi_o, d)
         w = GridFunction(mesh, phi_vals * d.density.values, d.density.s)
         vals = np.empty(N + 1)
         for n in range(N + 1):

@@ -9,11 +9,11 @@ bit-identical files (density results come from the cache on reruns).
 Every option is declared once, as a row of ``_OPTIONS``: that table is the
 one source of the flags, their defaults and the keys a config file may set.
 
-Exit codes: 0 ok, 1 usage/domain error, 2 numerical gate failure or
-non-convergence.  Every command that needs the invariant density passes
-its record through ``DensityRecord.require_converged()``, the one
-convergence gate; ``density`` alone writes a flagged record before it
-exits 2.
+Exit codes: 0 ok, 1 usage/domain error (bad flags and config-file values
+included), 2 numerical gate failure or non-convergence.  Every command
+that needs the invariant density passes its record through
+``DensityRecord.require_converged()``, the one convergence gate;
+``density`` alone writes a flagged record before it exits 2.
 """
 
 import argparse
@@ -68,53 +68,59 @@ def _resolved(args: argparse.Namespace) -> dict:
     if getattr(args, "config", None):
         with open(args.config) as fh:
             file_cfg = json.load(fh)
-        unknown = set(file_cfg) - set(_DEFAULTS)
-        if unknown:
-            raise ValueError(f"config file: unknown keys {sorted(unknown)}")
-        cfg.update(file_cfg)
+        if not isinstance(file_cfg, dict):
+            raise ValueError("config file: expected a JSON object")
+        cfg.update({k: _file_value(k, v) for k, v in file_cfg.items()})
     cfg.update(given)  # flags win
     cfg["command"] = args.command
     return cfg
 
 
+def _file_value(key: str, value):
+    """A config-file value, converted and checked as its flag's text would be
+    (``"alpha": 0`` is 0.0); null only where the default is None."""
+    if key not in _KWARGS:
+        raise ValueError(f"config file: unknown key {key!r}")
+    if value is None and _DEFAULTS[key] is None:
+        return None
+    kwargs = _KWARGS[key]
+    try:
+        if isinstance(value, (str, int, float)) and not isinstance(value, bool):
+            new = kwargs.get("type", str)(str(value))
+            if new in kwargs.get("choices", (new,)):
+                return new
+    except ValueError:
+        pass
+    raise ValueError(f"config file: invalid value for {key!r}: {value!r}")
+
+
 def _config_hash(cfg: dict) -> str:
-    # output destinations do not affect the numbers: identical numerical
-    # configs must produce bit-identical files regardless of --out
-    skip = {"out", "cache_dir"}
+    # output destinations and the pool width do not affect the numbers:
+    # identical numerical configs must produce bit-identical files
+    skip = {"out", "cache_dir", "workers"}
     blob = json.dumps({k: cfg[k] for k in sorted(cfg) if k not in skip},
                       sort_keys=True, default=str)
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
-def _meta(cfg: dict) -> dict:
-    return {"schema_version": SCHEMA_VERSION, "config_sha256": _config_hash(cfg)}
+def _write(path, text: str):
+    if path is None:
+        sys.stdout.write(text)
+    else:
+        Path(path).write_text(text)
 
 
 def _write_csv(path, cfg, header, rows):
-    lines = [f"# pmlab schema={SCHEMA_VERSION} config={_config_hash(cfg)}"]
-    lines.append(",".join(header))
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    text = "\n".join(lines) + "\n"
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        Path(path).write_text(text)
-
-
-def _fmt(v):
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
+    lines = [f"# pmlab schema={SCHEMA_VERSION} config={_config_hash(cfg)}",
+             ",".join(header)]
+    lines += [",".join(repr(v) if isinstance(v, float) else str(v) for v in row)
+              for row in rows]
+    _write(path, "\n".join(lines) + "\n")
 
 
 def _write_json(path, cfg, payload: dict):
-    payload = {"meta": _meta(cfg), **payload}
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        Path(path).write_text(text)
+    meta = {"schema_version": SCHEMA_VERSION, "config_sha256": _config_hash(cfg)}
+    _write(path, json.dumps({"meta": meta, **payload}, indent=2, sort_keys=True) + "\n")
 
 
 def _emit(path, cfg, header, rows, json_payload):
@@ -175,7 +181,7 @@ def cmd_density(cfg) -> int:
 def cmd_response(cfg) -> int:
     p, rec, _ = _get_density(cfg)
     rec.require_converged()
-    methods = [m.strip() for m in str(cfg["methods"]).split(",") if m.strip()]
+    methods = [m.strip() for m in cfg["methods"].split(",") if m.strip()]
     obs = parse_observable(cfg["obs"])
     results = {}
     if "backward" in methods:
@@ -224,7 +230,7 @@ def cmd_validate(cfg) -> int:
         comparisons["susceptibility"] = _rel(sus, series.value)
     mesh = rec.density.mesh
     fd_vals = {}
-    for eps_s in str(cfg["eps"]).split(","):
+    for eps_s in cfg["eps"].split(","):
         eps = float(eps_s)
         fd = finite_difference_response(p, obs, eps, mesh, tol=cfg["tol"],
                                         max_iter=cfg["max_iter"])
@@ -254,6 +260,8 @@ def cmd_validate(cfg) -> int:
 def cmd_cones(cfg) -> int:
     p = MapParams(cfg["alpha"])
     if cfg["cone"] == "omega":
+        if cfg["grid"] < 1:
+            raise ValueError("cones: --grid must be >= 1")
         y = np.linspace(0.5 / cfg["grid"], 0.5, cfg["grid"])
         b1, b2 = _upper_constants(p.alpha)
         cp = ConeParams(a=2.0, b1=b1, b2=b2, b3=400.0, b1_bar=1e-3, b2_bar=1e-2)
@@ -327,9 +335,10 @@ def cmd_decay(cfg) -> int:
 
 
 def _parse_alphas(spec: str) -> list[float]:
-    spec = str(spec)
     if ":" in spec:
         a, b, step = (float(t) for t in spec.split(":"))
+        if not step > 0.0:
+            raise ValueError(f"sweep: --alphas step must be > 0, got {step:g}")
         n = int(round((b - a) / step)) + 1
         return [round(a + i * step, 12) for i in range(n)]
     return [float(t) for t in spec.split(",") if t.strip()]
@@ -338,8 +347,7 @@ def _parse_alphas(spec: str) -> list[float]:
 def _sweep_one(cfg, alpha):
     p, rec, _ = _get_density(cfg, alpha=alpha)
     res = response_series(p, rec, cfg["obs"], cfg["K"], cfg["series_tol"])
-    fd_val = math.nan
-    rel = math.nan
+    fd_val = rel = math.nan
     if cfg["fd_eps"]:
         fd_val = finite_difference_response(p, cfg["obs"], cfg["fd_eps"],
                                             rec.density.mesh, tol=cfg["tol"],
@@ -351,20 +359,16 @@ def _sweep_one(cfg, alpha):
 
 def cmd_sweep(cfg) -> int:
     alphas = _parse_alphas(cfg["alphas"])
-    if any(not 0.0 <= a < 1.0 for a in alphas):
-        raise ValueError("sweep: all alphas must lie in [0, 1)")
-    workers = int(cfg["workers"])
-    if workers > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as ex:
+    if not alphas or any(not 0.0 <= a < 1.0 for a in alphas):
+        raise ValueError("sweep: --alphas must give one or more alphas in [0, 1)")
+    if cfg["workers"] > 1:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=cfg["workers"]) as ex:
             rows = list(ex.map(_sweep_one, [cfg] * len(alphas), alphas))
     else:
         rows = [_sweep_one(cfg, a) for a in alphas]
-    _emit(cfg["out"], cfg,
-          ["alpha", "observable", "value", "tail", "k_used", "fd_value", "rel_diff"],
-          rows,
-          {"rows": [dict(zip(
-              ["alpha", "observable", "value", "tail", "k_used", "fd_value",
-               "rel_diff"], r)) for r in rows]})
+    header = ["alpha", "observable", "value", "tail", "k_used", "fd_value", "rel_diff"]
+    _emit(cfg["out"], cfg, header, rows,
+          {"rows": [dict(zip(header, r)) for r in rows]})
     return 0
 
 
@@ -430,10 +434,18 @@ _OPTIONS = [
 ]
 
 _DEFAULTS = {key: default for key, default, _, _ in _OPTIONS}
+_KWARGS = {key: kwargs for key, _, _, kwargs in _OPTIONS}
+
+
+class _Parser(argparse.ArgumentParser):
+    """argparse, with usage errors on exit 1 (2 is the gate code here)."""
+
+    def error(self, message):
+        self.exit(1, f"{self.format_usage()}pmlab: error: {message}\n")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="pmlab",
         description="Transfer-operator laboratory for intermittent interval maps",
     )

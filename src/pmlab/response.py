@@ -11,11 +11,10 @@ and ``finite_difference_response`` all return this natural derivative
 Each of them needs a converged density and raises ``ConvergenceError``
 (through ``DensityRecord.require_converged()``) for one that is not.
 
-The resolvent (id - L)^(-1) is realized only as the truncated Neumann sum:
-Y has zero mean, the terms decay polynomially, and a direct solve would
-fight the eigenvalue 1.  The tail of the series is estimated from a
-power-law fit of the computed terms and reported as an error bar, never
-added to the value.
+The resolvent (id - L)^(-1) is realized as the truncated Neumann sum of
+the zero-mean source Y, whose terms decay polynomially.  The tail of the
+series is estimated from a power-law fit of the computed terms and
+reported as an error bar, never added to the value.
 """
 
 import math

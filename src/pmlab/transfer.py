@@ -9,13 +9,13 @@ d/da L = -(X * N f)' in Leibniz form, and ``apply_d2L`` the second
 parameter derivative assembled from its seven Leibniz terms (the exact
 nodewise sum of ``seven_term_decomposition``).
 
-``compute_density`` runs renormalized power iteration L^k 1 with an L1
-successive-difference stopping rule; convergence is polynomial in k for
-a > 0, so the result carries an explicit ``converged`` flag instead of
-being silently accepted; its loop runs on raw arrays through the kernel
-that ``apply_L`` wraps.  ``build_ulam`` assembles the row-stochastic Ulam
-matrix from exact branchwise preimage intersections as an independent
-discretization of the same operator.
+``_power_iterate`` is the one stationary-vector loop (renormalized power
+iteration, L1 successive-difference stop).  ``compute_density`` runs it
+on L^k 1 through the kernel that ``apply_L`` wraps; convergence is
+polynomial in k for a > 0, so the record carries a ``converged`` flag.
+``build_ulam`` assembles the row-stochastic Ulam matrix from exact
+branchwise preimage intersections, an independent discretization of the
+same operator, and ``ulam_stationary`` runs the same loop on it.
 
 All four pullback applications (``apply_L``, ``apply_N``,
 ``apply_preimage_sum`` and ``jet_apply``) read one per-(alpha, mesh) entry
@@ -389,6 +389,24 @@ def default_max_iter(alpha: float, tol: float, cap: int = 200_000) -> int:
     return int(min(cap, max(64.0, est)))
 
 
+def _power_iterate(step, q, u, tol, max_iter):
+    """The one stationary-vector loop: u <- step(u) / (q . step(u)) from
+    u / (q . u) until the residual q . |u_new - u| is <= tol (a NaN one
+    keeps iterating) or ``max_iter`` steps ran; ``step`` returns a fresh
+    array.  Returns (u, iterations, residual)."""
+    u = u * (1.0 / (q @ u))
+    diff = np.empty_like(u)  # reused buffer
+    residual, iterations = math.inf, 0
+    for iterations in range(1, max_iter + 1):
+        nxt = step(u)
+        nxt *= 1.0 / (q @ nxt)
+        residual = float(q @ np.abs(np.subtract(nxt, u, out=diff), out=diff))
+        u = nxt
+        if residual <= tol:
+            break
+    return u, iterations, residual
+
+
 def compute_density(
     p: MapParams,
     mesh: Mesh,
@@ -407,23 +425,13 @@ def compute_density(
     a = p.alpha
     if max_iter is None:
         max_iter = default_max_iter(a, tol)
-    q = mesh.quadrature(a)
-    u = mesh.nodes**a  # the constant function 1
-    u = u * (1.0 / (q @ u))
-    ud, diff = np.empty(2 * u.size), np.empty_like(u)  # reused buffers
-    residual, iterations = math.inf, 0
-    for k in range(max_iter):
-        nxt, right = _branches(p, mesh, a, hermite_stack(mesh, u, ud))
-        nxt += right
-        nxt *= 1.0 / (q @ nxt)
-        residual = float(q @ np.abs(np.subtract(nxt, u, out=diff), out=diff))
-        u = nxt
-        iterations = k + 1
-        if residual <= tol:
-            break
+    ud = np.empty(2 * mesh.size)  # reused [u; d] buffer
+    step = lambda u: np.add(*_branches(p, mesh, a, hermite_stack(mesh, u, ud)))
+    u, iterations, residual = _power_iterate(
+        step, mesh.quadrature(a), mesh.nodes**a, tol, max_iter)
     f = GridFunction(mesh, u, a)
     return DensityRecord(params=p, density=f, iterations=iterations,
-                         residual=float(residual), normalization=integrate(f),
+                         residual=residual, normalization=integrate(f),
                          tol=float(tol))
 
 
@@ -480,38 +488,18 @@ def build_ulam(p: MapParams, partition: Mesh) -> UlamOperator:
 def ulam_stationary(
     U: UlamOperator, tol: float = 1e-13, max_iter: int = 400_000
 ) -> GridFunction:
-    """Stationary density of the Ulam chain by power iteration.
-
-    Returns the piecewise-constant density as a GridFunction on the
-    partition (value at node i = cell mass / cell width of the cell ending
-    at that node).
+    """Stationary density of the Ulam chain: ``_power_iterate`` on the cell
+    masses with step P^T and q = 1 (residual = L1 distance of densities),
+    ``ConvergenceError`` if it ends above ``tol``.  Returns the piecewise-
+    constant density on the partition (node i: mass / width of its cell).
     """
-    m = U.matrix.shape[0]
-    pt = U.matrix.T.tocsr()
-    v = np.full(m, 1.0 / m)
-    resid = math.inf
-    best = math.inf
-    since_best = 0
-    for _ in range(max_iter):
-        w = pt @ v
-        w /= w.sum()
-        resid = float(np.abs(w - v).sum())
-        v = w
-        if resid <= tol:
-            break
-        if resid < best:
-            best = resid
-            since_best = 0
-        else:
-            since_best += 1
-            if since_best > 5000:
-                raise ConvergenceError(
-                    f"ulam_stationary: stagnation at residual {resid:.3e}"
-                )
-    else:
-        raise ConvergenceError(f"ulam_stationary: residual {resid:.3e} after {max_iter}")
-    density = v / U.widths
-    return GridFunction(U.partition, density, 0.0)
+    ones = np.ones(U.widths.size)  # q, and the uniform start
+    v, iterations, resid = _power_iterate(U.matrix.T.tocsr().dot, ones, ones,
+                                          tol, max_iter)
+    if not resid <= tol:
+        raise ConvergenceError(
+            f"ulam_stationary: residual {resid:.3e} after {iterations}")
+    return GridFunction(U.partition, v / U.widths, 0.0)
 
 
 def ulam_mean(U: UlamOperator, stationary: GridFunction, fn) -> float:

@@ -2,6 +2,10 @@
 
 import argparse
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -256,8 +260,8 @@ class TestCli:
             runs[w] = out.read_text().split("\n", 1), records
         (head1, rows1), rec1 = runs["1"]
         (head2, rows2), rec2 = runs["2"]
-        # the first line carries the config hash, which covers --workers
-        assert head1.split(" config=")[0] == head2.split(" config=")[0]
+        # the config hash on the first line leaves out --workers
+        assert head1 == head2
         assert rows1 == rows2 and len(rows1.splitlines()) == 3
         assert len(rec1) == 2 and rec1 == rec2
 
@@ -296,6 +300,59 @@ class TestCli:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"bogus": 1}))
         assert main(["density", "--config", str(cfg)]) == 1
+
+    @pytest.mark.parametrize("content, message", [
+        ({"mesh": "abc"}, "invalid value for 'mesh': 'abc'"),
+        ({"mesh": 256, "format": "xml"}, "invalid value for 'format': 'xml'"),
+        (5, "expected a JSON object"),
+    ])
+    def test_config_bad_value_exit1(self, cache_env, tmp_path, capsys, content,
+                                    message):
+        cfg, out = tmp_path / "cfg.json", tmp_path / "d.csv"
+        cfg.write_text(json.dumps(content))
+        assert main(["density", "--alpha", "0", "--orbit-points", "16",
+                     "--config", str(cfg), "--out", str(out)]) == 1
+        assert f"pmlab: error: config file: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_config_value_typed_like_its_flag(self, cache_env, tmp_path, capsys):
+        # "alpha": 0 resolves to 0.0 as --alpha 0 does, so the config hashes agree
+        cfg, out1, out2 = tmp_path / "cfg.json", tmp_path / "a.csv", tmp_path / "b.csv"
+        cfg.write_text(json.dumps({"alpha": 0, "mesh": 256, "orbit_points": 16,
+                                   "x_min": 1e-8}))
+        assert main(["density", "--config", str(cfg), "--out", str(out1)]) == 0
+        assert main(DENS_ARGS + ["--out", str(out2)]) == 0
+        assert out1.read_bytes() == out2.read_bytes()
+
+    @pytest.mark.parametrize("argv", [
+        ["density", "--bogus", "1"],
+        ["density", "--mesh", "abc"],
+        ["nosuch"],
+        ["sweep", "--alphas", "0.1:0.2:0"],
+        ["sweep", "--alphas", "0.2:0.1:0.05"],
+        ["cones", "--cone", "omega", "--grid", "0"],
+    ])
+    def test_usage_error_exit1(self, cache_env, tmp_path, capsys, argv):
+        out = tmp_path / "out.csv"
+        try:
+            code = main(argv + ["--out", str(out)])
+        except SystemExit as exc:  # argparse's errors leave main this way
+            code = exc.code
+        assert code == 1
+        assert "pmlab: error:" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, code", [
+        (["density", "--mesh", "abc"], 1),
+        (["sweep", "--alphas", "0.1:0.2:0"], 1),
+        (["density", "--help"], 0),
+    ])
+    def test_process_exit_code(self, tmp_path, argv, code):
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        run = subprocess.run([sys.executable, "-m", "pmlab.cli"] + argv, env=env,
+                             cwd=tmp_path, capture_output=True, text=True)
+        assert run.returncode == code
+        assert "Traceback" not in run.stderr
 
 
 COMMON_FLAGS = [

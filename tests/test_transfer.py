@@ -376,6 +376,27 @@ class TestUlam:
         st = ulam_stationary(U, tol=1e-13)
         assert np.max(np.abs(st.values - 1.0)) < 1e-9
 
+    @pytest.mark.parametrize("alpha", [0.0, 0.3, 0.5])
+    def test_stationary_matches_bordered_solve(self, alpha):
+        # the chain is exactly stochastic, so [[I - P^T, 1], [1^T, 0]] has
+        # the stationary cell masses (and a zero border) as its solution
+        p = MapParams(alpha)
+        U = build_ulam(p, build_mesh(p, 256, 40, 1e-5))
+        m = U.widths.size
+        bordered = np.ones((m + 1, m + 1))
+        bordered[:m, :m] = np.eye(m) - U.matrix.T.toarray()
+        bordered[m, m] = 0.0
+        rhs = np.zeros(m + 1)
+        rhs[m] = 1.0
+        mass = np.linalg.solve(bordered, rhs)[:m]
+        st = ulam_stationary(U, tol=1e-13)
+        assert np.sum(np.abs(st.values * U.widths - mass)) <= 1e-9
+
+    def test_stationary_budget_exhausted(self, p3):
+        U = build_ulam(p3, build_mesh(p3, 256, 40, 1e-5))
+        with pytest.raises(ConvergenceError, match="residual"):
+            ulam_stationary(U, tol=1e-13, max_iter=5)
+
     def test_stationary_mean_matches_grid(self, p3, rec3):
         part = build_mesh(p3, 2048, 60, 1e-5)
         U = build_ulam(p3, part)
