@@ -179,7 +179,7 @@ def _fit_decay(values, n_lo, n_hi):
 
 def correlation_decay(
     p: MapParams,
-    d: DensityRecord,
+    d: DensityRecord | None,
     psi,
     phi,
     N: int,
@@ -193,8 +193,8 @@ def correlation_decay(
 
     Operator method: C_n = int psi L^n(phi rho) dx - m_phi m_psi.
     Monte Carlo method: empirical lagged covariances over independent
-    orbits, with batch-mean standard errors.  The decay exponent is
-    fitted on n in [N/4, N].
+    orbits, with batch-mean standard errors; it does not read ``d``, which
+    may be None.  The decay exponent is fitted on n in [N/4, N].
     """
     psi_o, phi_o = parse_observable(psi), parse_observable(phi)
     if N < 8:

@@ -178,10 +178,18 @@ def cmd_density(cfg) -> int:
     return 0 if rec.converged else 2
 
 
+_RESPONSE_METHODS = ("backward", "forward", "susceptibility")
+
+
 def cmd_response(cfg) -> int:
+    methods = [m.strip() for m in cfg["methods"].split(",") if m.strip()]
+    unknown = [m for m in methods if m not in _RESPONSE_METHODS]
+    if unknown or not methods:
+        what = f"unknown method {unknown[0]!r}" if unknown else "no method"
+        raise ValueError(f"response: --methods gives {what}; "
+                         f"choose from {','.join(_RESPONSE_METHODS)}")
     p, rec, _ = _get_density(cfg)
     rec.require_converged()
-    methods = [m.strip() for m in cfg["methods"].split(",") if m.strip()]
     obs = parse_observable(cfg["obs"])
     results = {}
     if "backward" in methods:
@@ -296,8 +304,10 @@ def cmd_decay(cfg) -> int:
     prefix = cfg["out"]
     if prefix is None:
         raise ValueError("decay: --out prefix is required (writes three files)")
-    p, rec, _ = _get_density(cfg)
-    rec.require_converged()
+    p = MapParams(cfg["alpha"])
+    # only the operator method reads the density; the orbit statistics do not
+    rec = (_get_density(cfg)[1].require_converged()
+           if cfg["method"] == "operator" else None)
     curve = correlation_decay(
         p, rec, cfg["psi"], cfg["phi"], cfg["N"], method=cfg["method"],
         n_orbits=cfg["orbits"], orbit_len=cfg["orbit_len"],
@@ -410,8 +420,8 @@ _OPTIONS = [
      dict(type=float, help="stop when fitted tail is below this")),
     ("eps", "1e-2,5e-3", "validate", dict(help="comma list of FD epsilons")),
     ("gate", 0.03, "validate", dict(type=float, help="relative disagreement gate")),
-    ("methods", "backward,forward,susceptibility", "response",
-     dict(help="comma list: backward,forward,susceptibility")),
+    ("methods", ",".join(_RESPONSE_METHODS), "response",
+     dict(help="comma list: " + ",".join(_RESPONSE_METHODS))),
     ("cone", "Cstar", "cones", dict(choices=("Cstar", "Cstar1", "C2", "C3", "omega"),
                                     help="cone to test, or the omega table")),
     ("kmax", 20, "cones", dict(type=int, help="iterate count")),

@@ -25,7 +25,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from .maps import MapParams, branch_inverse
 
@@ -371,7 +370,7 @@ def _hermite_cells(mesh: Mesh, xq: np.ndarray):
                  hh * (t3 - t2))
 
 
-def hermite_weights(mesh: Mesh, xq) -> sp.csr_matrix:
+def hermite_weights(mesh: Mesh, xq) -> "scipy.sparse.csr_matrix":
     """PCHIP evaluation at the 1-d points xq as a CSR matrix: P @ [u; d].
 
     Row k holds the cubic Hermite weights of xq[k] in its cell (i, i+1) in
@@ -379,6 +378,10 @@ def hermite_weights(mesh: Mesh, xq) -> sp.csr_matrix:
     matvec adds the terms in that order.  Points below x_min get the
     constant extension of u.
     """
+    # imported here, not at module level: a process that builds no operator
+    # never loads scipy
+    import scipy.sparse as sp
+
     n = mesh.size
     idx, w = _hermite_cells(mesh, np.asarray(xq, dtype=float))
     cols = np.stack((idx, idx + n, idx + 1, idx + 1 + n), axis=1, dtype=np.int32).ravel()

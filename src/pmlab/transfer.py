@@ -30,7 +30,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .maps import (
     MapParams,
@@ -450,7 +449,7 @@ class UlamOperator:
     """
 
     partition: Mesh
-    matrix: sp.csr_matrix
+    matrix: "scipy.sparse.csr_matrix"
     edges: np.ndarray
 
     @property
@@ -466,6 +465,10 @@ def build_ulam(p: MapParams, partition: Mesh) -> UlamOperator:
     on the right.  One ``searchsorted`` brackets all interval endpoints, and
     each interval expands into the cells it meets with positive overlap.
     """
+    # imported here, not at module level: a process that builds no operator
+    # never loads scipy
+    import scipy.sparse as sp
+
     edges = np.concatenate([[0.0], partition.nodes])
     m = edges.size - 1
     ends = np.stack([np.asarray(branch_inverse(p, edges, tol=0.0)), 0.5 * (edges + 1.0)])

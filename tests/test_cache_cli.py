@@ -210,6 +210,31 @@ class TestCli:
         stats = json.loads((tmp_path / "mc_stats.json").read_text())
         assert stats["correlation"]["method"] == "montecarlo"
 
+    def test_decay_montecarlo_needs_no_density(self, cache_env, tmp_path, capsys):
+        # a budget no density can meet: the orbit statistics never ask for one
+        prefix = str(tmp_path / "P")
+        code = main(["decay", "--alpha", "0.3", "--method", "montecarlo",
+                     "--mesh", "1024", "--orbit-points", "40", "--N", "8",
+                     "--orbits", "64", "--orbit-len", "512", "--burn-in", "16",
+                     "--max-iter", "5", "--out", prefix])
+        assert code == 0
+        assert sorted(p.name for p in tmp_path.glob("P_*")) == \
+            ["P_corr.csv", "P_orbit.csv", "P_stats.json"]
+        assert not list((tmp_path / "cache").glob("density-*.json"))
+
+    @pytest.mark.parametrize("methods", ["bogus", ","])
+    def test_response_unknown_method_exit1(self, cache_env, tmp_path, capsys, methods):
+        out = tmp_path / "r.csv"
+        code = main(["response", "--alpha", "0.2", "--methods", methods,
+                     "--mesh", "256", "--orbit-points", "16", "--tol", "1e-6",
+                     "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "pmlab: error:" in err
+        assert ("'bogus'" in err) if methods == "bogus" else ("no method" in err)
+        assert not out.exists()
+        assert not list((tmp_path / "cache").glob("density-*.json"))
+
     def test_decay_one_orbit_standard_error_exit2(self, cache_env, tmp_path, capsys):
         code = main(["decay", "--alpha", "0.3", "--mesh", "1024",
                      "--orbit-points", "40", "--x-min", "1e-6", "--tol", "1e-8",
