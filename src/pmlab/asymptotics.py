@@ -14,9 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .maps import MapParams, branch_inverse, forward, forward_deriv
-from .grid import GridFunction, integrate
 from .response import observable_mean, parse_observable
-from .transfer import DensityRecord, apply_L
+from .transfer import DensityRecord, _step
 
 __all__ = [
     "OrbitStats",
@@ -192,6 +191,8 @@ def correlation_decay(
     """Correlations C_n = cov(psi o T^n, phi) under the invariant measure.
 
     Operator method: C_n = int psi L^n(phi rho) dx - m_phi m_psi.
+    It needs a converged density: ``ValueError`` without one, and
+    ``ConvergenceError`` through ``require_converged()``.
     Monte Carlo method: empirical lagged covariances over independent
     orbits, with batch-mean standard errors; it does not read ``d``, which
     may be None.  The decay exponent is fitted on n in [N/4, N].
@@ -200,7 +201,10 @@ def correlation_decay(
     if N < 8:
         raise ValueError("correlation_decay: N must be >= 8")
     if method == "operator":
-        mesh = d.density.mesh
+        if d is None:
+            raise ValueError("correlation_decay: the operator method needs a density")
+        rho = d.require_converged().density
+        mesh = rho.mesh
         x = mesh.nodes
         phi_vals = np.asarray(phi_o.f(x), dtype=float)
         psi_vals = np.asarray(psi_o.f(x), dtype=float)
@@ -209,13 +213,12 @@ def correlation_decay(
         # vanishing-near-zero support property and degrade the decay rate
         # from n^(-1/a) to the generic n^(1 - 1/a)
         mean_phi, mean_psi = observable_mean(phi_o, d), observable_mean(psi_o, d)
-        w = GridFunction(mesh, phi_vals * d.density.values, d.density.s)
+        q, step, w = mesh.quadrature(rho.s), _step(p, mesh, rho.s), phi_vals * rho.values
         vals = np.empty(N + 1)
         for n in range(N + 1):
-            vals[n] = integrate(GridFunction(mesh, psi_vals * w.values, w.s)) \
-                - mean_phi * mean_psi
+            vals[n] = float(q @ (psi_vals * w)) - mean_phi * mean_psi
             if n < N:
-                w = apply_L(p, w)
+                w = step(w)
         if np.max(np.abs(vals)) == 0.0:
             raise ValueError("correlation_decay: all correlations vanish")
         expo, ci = _fit_decay(vals, max(N // 4, 1), N)

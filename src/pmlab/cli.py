@@ -10,10 +10,11 @@ Every option is declared once, as a row of ``_OPTIONS``: that table is the
 one source of the flags, their defaults and the keys a config file may set.
 
 Exit codes: 0 ok, 1 usage/domain error (bad flags and config-file values
-included), 2 numerical gate failure or non-convergence.  Every command
-that needs the invariant density passes its record through
-``DensityRecord.require_converged()``, the one convergence gate;
-``density`` alone writes a flagged record before it exits 2.
+included, non-finite float options among them), 2 numerical gate failure
+or non-convergence.  Every command that needs the invariant density
+passes its record through ``DensityRecord.require_converged()``, the one
+convergence gate; ``density`` alone writes a flagged record before it
+exits 2.
 """
 
 import argparse
@@ -72,6 +73,9 @@ def _resolved(args: argparse.Namespace) -> dict:
             raise ValueError("config file: expected a JSON object")
         cfg.update({k: _file_value(k, v) for k, v in file_cfg.items()})
     cfg.update(given)  # flags win
+    for key, value in cfg.items():  # json.load and float() both accept NaN
+        if _KWARGS[key].get("type") is float and not math.isfinite(value):
+            raise ValueError(f"--{key.replace('_', '-')} must be finite, got {value!r}")
     cfg["command"] = args.command
     return cfg
 
@@ -371,8 +375,10 @@ def cmd_sweep(cfg) -> int:
     alphas = _parse_alphas(cfg["alphas"])
     if not alphas or any(not 0.0 <= a < 1.0 for a in alphas):
         raise ValueError("sweep: --alphas must give one or more alphas in [0, 1)")
-    if cfg["workers"] > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=cfg["workers"]) as ex:
+    # the pool forks all of its processes at the first submit
+    workers = min(cfg["workers"], len(alphas))
+    if workers > 1:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as ex:
             rows = list(ex.map(_sweep_one, [cfg] * len(alphas), alphas))
     else:
         rows = [_sweep_one(cfg, a) for a in alphas]

@@ -31,13 +31,7 @@ from .grid import (
     evaluate,
     integrate,
 )
-from .transfer import (
-    DensityRecord,
-    apply_L,
-    apply_N,
-    apply_preimage_sum,
-    compute_density,
-)
+from .transfer import DensityRecord, _step, apply_N, compute_density
 
 __all__ = [
     "Observable",
@@ -284,13 +278,14 @@ def response_series(
     d.require_converged()
     mesh = d.density.mesh
     psi = np.asarray(obs.f(mesh.nodes), dtype=float)
-    w = _zero_mean_source(p, d)
+    y = _zero_mean_source(p, d)
+    q, step, w = mesh.quadrature(y.s), _step(p, mesh, y.s), y.values
     terms = []
     for k in range(K + 1):
-        terms.append(integrate(GridFunction(mesh, psi * w.values, w.s)))
+        terms.append(float(q @ (psi * w)))
         if k == K:
             break
-        w = apply_L(p, w)
+        w = step(w)
         if k >= 16 and k % 8 == 0:
             _, tail = _fit_tail(np.asarray(terms))
             if not math.isinf(tail) and abs(tail) < tol:
@@ -426,15 +421,15 @@ def susceptibility(
     mesh = d.density.mesh
     psi_p = np.asarray(obs.fprime(mesh.nodes), dtype=float)
     nr = apply_N(p, d.density)
-    w = GridFunction(mesh, np.asarray(X(p, mesh.nodes)) * nr.full_values(), 0.0)
+    q, step = mesh.quadrature(0.0), _step(p, mesh, 0.0, preimage_sum=True)
+    w = np.asarray(X(p, mesh.nodes)) * nr.full_values()
     terms = []
     for k in range(K + 1):
-        terms.append(integrate(GridFunction(mesh, psi_p * w.values, 0.0)))
+        terms.append(float(q @ (psi_p * w)))
         if k == K:
             break
-        w = apply_preimage_sum(p, w)
-        mean = integrate(w)
-        w = GridFunction(mesh, w.values - mean, 0.0)  # deflate the A 1 = 2 mode
+        w = step(w)
+        w -= q @ w  # deflate the A 1 = 2 mode
     zs = z ** np.arange(len(terms))
     return float(np.sum(zs * np.asarray(terms)))
 

@@ -11,19 +11,19 @@ nodewise sum of ``seven_term_decomposition``).
 
 ``_power_iterate`` is the one stationary-vector loop (renormalized power
 iteration, L1 successive-difference stop).  ``compute_density`` runs it
-on L^k 1 through the kernel that ``apply_L`` wraps; convergence is
-polynomial in k for a > 0, so the record carries a ``converged`` flag.
-``build_ulam`` assembles the row-stochastic Ulam matrix from exact
-branchwise preimage intersections, an independent discretization of the
-same operator, and ``ulam_stationary`` runs the same loop on it.
+on L^k 1 through ``_step``; convergence is polynomial in k for a > 0, so
+the record carries a ``converged`` flag.  ``build_ulam`` assembles the
+row-stochastic Ulam matrix from exact branchwise preimage intersections,
+an independent discretization of the same operator, and
+``ulam_stationary`` runs the same loop on it.
 
-All four pullback applications (``apply_L``, ``apply_N``,
-``apply_preimage_sum`` and ``jet_apply``) read one per-(alpha, mesh) entry
-of ``Mesh.cached``: the branch inverse g and its x-derivatives at the
-nodes, and the interpolation of u at the fixed pullback points g(x_i) and
-(x_i + 1)/2 as CSR matrices P_g, P_r of shape n x 2n acting on [u; d].
-The singular-factor ratios (x/g)^s and (x/r)^s are cached beside it per
-(alpha, s); both live exactly as long as the mesh.
+``_pullback`` is the one pullback kernel, called by ``apply_L``,
+``apply_N``, ``apply_preimage_sum`` and ``jet_apply``: for f = x^(-s) u it
+reads [u; PCHIP slopes] at g(x_i) and (x_i + 1)/2 through CSR matrices
+P_g, P_r (n x 2n, one ``Mesh.cached`` entry per alpha beside g and its
+x-derivatives) and applies the ratios (x/g)^s, (x/r)^s (cached per
+(alpha, s)).  ``_step``, u -> L(x^(-s) u) or A on raw nodal arrays with a
+reused [u; d] buffer, is the step of every L^k loop.
 """
 
 import math
@@ -119,7 +119,7 @@ class DensityRecord:
         return float(np.min(vals)), float(np.max(vals))
 
 
-def _pullbacks(p: MapParams, mesh: Mesh) -> dict:
+def _pullback_data(p: MapParams, mesh: Mesh) -> dict:
     """Pullback data of both branches on a fixed mesh, built once per alpha.
 
     ``g`` holds g and its first four x-derivatives at the nodes, ``Pg`` and
@@ -140,7 +140,7 @@ def _ratios(p: MapParams, mesh: Mesh, s: float):
     """Singular-factor ratios (x/g)^s and (x/r)^s at the nodes, once per (alpha, s)."""
 
     def build():
-        x, g = mesh.nodes, _pullbacks(p, mesh)["g"][0]
+        x, g = mesh.nodes, _pullback_data(p, mesh)["g"][0]
         lr_g = np.log(x) - np.log(g)  # log(x / g(x)), stable for tiny x
         lr_r = np.log(x) - np.log(0.5 * (x + 1.0))
         return _frozen(np.exp(s * lr_g), np.exp(s * lr_r))
@@ -148,31 +148,41 @@ def _ratios(p: MapParams, mesh: Mesh, s: float):
     return mesh.cached(("ratios", p.alpha, s), build)
 
 
-def _branches(p: MapParams, mesh: Mesh, s: float, ud: np.ndarray):
-    """u-space terms of the two branches of L at the nodes, for f = x^(-s) u
-    with ud = [u; d].  The one implementation of L and N."""
-    pb = _pullbacks(p, mesh)
-    eg, er = _ratios(p, mesh, s)
-    return (pb["Pg"] @ ud) * eg * pb["g"][1], 0.5 * (pb["Pr"] @ ud) * er
+def _pullback(p: MapParams, mesh: Mesh, s: float, ud: np.ndarray, affine: bool = True):
+    """The one pullback kernel: for f = x^(-s) u with ud = [u; d], the branch
+    reads x^s f(g(x)) = (x/g)^s u(g(x)) and x^s f(r(x)) at the nodes, as
+    fresh arrays (the second is None unless ``affine``)."""
+    pb, (eg, er) = _pullback_data(p, mesh), _ratios(p, mesh, s)
+    return (pb["Pg"] @ ud) * eg, (pb["Pr"] @ ud) * er if affine else None
 
 
-def _branch_values(p: MapParams, f: GridFunction, mesh: Mesh):
-    """``_branches`` of a grid function, which must live on ``mesh``."""
-    if f.mesh is not mesh:
-        raise ValueError("transfer: grid function lives on a different mesh")
-    return _branches(p, mesh, f.s, hermite_stack(mesh, f.values))
+def _step(p: MapParams, mesh: Mesh, s: float, preimage_sum: bool = False):
+    """The raw-array step of every L^k loop: nodal u -> the u of L(x^(-s) u),
+    g' w_g + w_r / 2, or of A(x^(-s) u) = w_g + w_r with ``preimage_sum``.
+    One [u; d] buffer serves every call; each call returns a fresh array."""
+    ud = np.empty(2 * mesh.size)
+    cg, cr = (1.0, 1.0) if preimage_sum else (_pullback_data(p, mesh)["g"][1], 0.5)
+
+    def step(u):
+        wg, wr = _pullback(p, mesh, s, hermite_stack(mesh, u, ud))
+        wg *= cg
+        wr *= cr
+        wg += wr
+        return wg
+
+    return step
 
 
 def apply_N(p: MapParams, f: GridFunction) -> GridFunction:
     """Left-branch transfer operator: N f(x) = g'(x) f(g(x))."""
-    left, _ = _branch_values(p, f, f.mesh)
-    return GridFunction(f.mesh, left, f.s)
+    wg, _ = _pullback(p, f.mesh, f.s, hermite_stack(f.mesh, f.values), affine=False)
+    wg *= _pullback_data(p, f.mesh)["g"][1]
+    return GridFunction(f.mesh, wg, f.s)
 
 
 def apply_L(p: MapParams, f: GridFunction) -> GridFunction:
     """Full transfer operator; equals apply_N plus the affine-branch term."""
-    left, right_part = _branch_values(p, f, f.mesh)
-    return GridFunction(f.mesh, left + right_part, f.s)
+    return GridFunction(f.mesh, _step(p, f.mesh, f.s)(f.values), f.s)
 
 
 def apply_preimage_sum(p: MapParams, f: GridFunction) -> GridFunction:
@@ -185,9 +195,7 @@ def apply_preimage_sum(p: MapParams, f: GridFunction) -> GridFunction:
     """
     if f.s != 0.0:
         raise ValueError("apply_preimage_sum: requires singular exponent 0")
-    pb = _pullbacks(p, f.mesh)
-    ud = hermite_stack(f.mesh, f.values)
-    return GridFunction(f.mesh, pb["Pg"] @ ud + pb["Pr"] @ ud, 0.0)
+    return GridFunction(f.mesh, _step(p, f.mesh, 0.0, preimage_sum=True)(f.values), 0.0)
 
 
 def _fields(p: MapParams, mesh: Mesh):
@@ -315,15 +323,10 @@ def jet_apply(p: MapParams, jet: Jet, branch: str = "both") -> Jet:
     mesh = jet.mesh
     x = mesh.nodes
     s = jet.levels[0].s
-    pb = _pullbacks(p, mesh)
-    _, gp, gpp, gppp, gpppp = pb["g"]
-    wg, wr = [], []
-    for i, lv in enumerate(jet.levels):
-        eg, er = _ratios(p, mesh, s + i)
-        ud = hermite_stack(mesh, lv.values)
-        wg.append(eg * (pb["Pg"] @ ud))
-        if branch == "both":
-            wr.append(er * (pb["Pr"] @ ud))
+    both = branch == "both"
+    _, gp, gpp, gppp, gpppp = _pullback_data(p, mesh)["g"]
+    wg, wr = zip(*(_pullback(p, mesh, s + i, hermite_stack(mesh, lv.values), both)
+                   for i, lv in enumerate(jet.levels)))
     order = jet.order
     out = [wg[0] * gp]
     if order >= 1:
@@ -337,7 +340,7 @@ def jet_apply(p: MapParams, jet: Jet, branch: str = "both") -> Jet:
             + x**2 * wg[1] * (4.0 * gp * gppp + 3.0 * gpp**2)
             + x**3 * wg[0] * gpppp
         )
-    if branch == "both":
+    if both:
         for j in range(order + 1):
             out[j] = out[j] + wr[j] * 0.5 ** (j + 1)
     return Jet(tuple(
@@ -424,10 +427,8 @@ def compute_density(
     a = p.alpha
     if max_iter is None:
         max_iter = default_max_iter(a, tol)
-    ud = np.empty(2 * mesh.size)  # reused [u; d] buffer
-    step = lambda u: np.add(*_branches(p, mesh, a, hermite_stack(mesh, u, ud)))
     u, iterations, residual = _power_iterate(
-        step, mesh.quadrature(a), mesh.nodes**a, tol, max_iter)
+        _step(p, mesh, a), mesh.quadrature(a), mesh.nodes**a, tol, max_iter)
     f = GridFunction(mesh, u, a)
     return DensityRecord(params=p, density=f, iterations=iterations,
                          residual=residual, normalization=integrate(f),

@@ -7,13 +7,18 @@ import numpy as np
 import pytest
 
 from pmlab import (
+    ConvergenceError,
+    GridFunction,
     MapParams,
+    apply_L,
     birkhoff_average,
     build_mesh,
     compute_density,
     contraction_factor,
     correlation_decay,
+    integrate,
     neutral_orbit,
+    observable_mean,
     parse_observable,
 )
 from pmlab.asymptotics import _fit_decay, _mc_step
@@ -128,6 +133,32 @@ class TestCorrelationDecay:
         c1 = correlation_decay(p, rec3, "x", "x", 8, **kw)
         c2 = correlation_decay(p, rec3, "x", "x", 8, **kw)
         assert np.array_equal(c1.values, c2.values)
+
+    def test_raw_loop_is_the_operator_definition(self, rec3):
+        # C_n = int psi L^n(phi rho) dx - m_phi m_psi through the public
+        # operators, bit for bit
+        p = MapParams(0.3)
+        psi, phi = parse_observable("cos"), parse_observable("x^2")
+        rho = rec3.density
+        x = rho.mesh.nodes
+        means = observable_mean(phi, rec3) * observable_mean(psi, rec3)
+        w = GridFunction(rho.mesh, phi.f(x) * rho.values, rho.s)
+        expected = []
+        for _ in range(21):
+            expected.append(integrate(GridFunction(rho.mesh, psi.f(x) * w.values, w.s)) - means)
+            w = apply_L(p, w)
+        crv = correlation_decay(p, rec3, psi, phi, 20, method="operator")
+        assert np.array_equal(crv.values, expected)
+
+    def test_operator_needs_a_density(self):
+        with pytest.raises(ValueError, match="operator method needs a density"):
+            correlation_decay(MapParams(0.3), None, "x", "x", 8, method="operator")
+
+    def test_operator_needs_a_converged_density(self, rec3):
+        p = MapParams(0.3)
+        rec = compute_density(p, rec3.density.mesh, tol=1e-13, max_iter=3)
+        with pytest.raises(ConvergenceError, match="not converged"):
+            correlation_decay(p, rec, "x", "x", 8, method="operator")
 
     def test_method_validation(self, rec3):
         with pytest.raises(ValueError):

@@ -290,6 +290,33 @@ class TestCli:
         assert rows1 == rows2 and len(rows1.splitlines()) == 3
         assert len(rec1) == 2 and rec1 == rec2
 
+    @pytest.mark.parametrize("alphas, width", [("0.05,0.1", [2]), ("0.05", [])])
+    def test_sweep_pool_no_wider_than_alphas(self, cache_env, tmp_path, capsys,
+                                             monkeypatch, alphas, width):
+        # the pool forks all max_workers processes at its first submit
+        widths = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                widths.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        out = tmp_path / "s.csv"
+        assert main(["sweep", "--alphas", alphas, "--workers", "8", "--mesh", "256",
+                     "--orbit-points", "24", "--tol", "1e-6", "--K", "16",
+                     "--out", str(out)]) == 0
+        assert widths == width
+        assert len(out.read_text().splitlines()) == 2 + alphas.count(",") + 1
+
     def test_sweep_worker_not_converged_exit2(self, cache_env, tmp_path, capsys):
         out = tmp_path / "s.csv"
         code = main(["sweep", "--alphas", "0.2,0.3", "--workers", "2",
@@ -348,6 +375,25 @@ class TestCli:
         assert main(["density", "--config", str(cfg), "--out", str(out1)]) == 0
         assert main(DENS_ARGS + ["--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["validate", "--obs", "cos", "--K", "16", "--eps", "5e-3", "--gate", "nan"],
+         "--gate"),
+        (["response", "--obs", "cos", "--K", "16", "--methods", "susceptibility",
+          "--z", "nan"], "--z"),
+        (["density", "--tol", "inf"], "--tol"),
+        (["density", "--tol", "nan"], "--tol"),
+        (["density", "--config", "CFG"], "--gate"),
+    ], ids=["gate-nan", "z-nan", "tol-inf", "tol-nan", "config-NaN"])
+    def test_non_finite_float_exit1(self, cache_env, tmp_path, capsys, argv, flag):
+        cfg, out = tmp_path / "cfg.json", tmp_path / "out.csv"
+        cfg.write_text('{"gate": NaN}')  # json.load accepts the NaN literal
+        argv = [str(cfg) if a == "CFG" else a for a in argv]
+        assert main(argv + ["--alpha", "0.2", "--mesh", "256", "--orbit-points", "40",
+                            "--out", str(out)]) == 1
+        assert f"pmlab: error: {flag} must be finite" in capsys.readouterr().err
+        assert not out.exists()
+        assert not (cache_env / "cache").exists()
 
     @pytest.mark.parametrize("argv", [
         ["density", "--bogus", "1"],

@@ -11,6 +11,9 @@ from pmlab import (
     MapParams,
     Observable,
     ResponseDivergenceError,
+    apply_L,
+    apply_N,
+    apply_preimage_sum,
     build_mesh,
     compute_density,
     finite_difference_response,
@@ -22,7 +25,12 @@ from pmlab import (
     response_source,
     susceptibility,
 )
-from pmlab.response import forward_noise_scale, susceptibility_terms_orbitwise
+from pmlab.maps import X
+from pmlab.response import (
+    _zero_mean_source,
+    forward_noise_scale,
+    susceptibility_terms_orbitwise,
+)
 
 
 @pytest.fixture(scope="module")
@@ -145,6 +153,18 @@ class TestResponseSeries:
         assert np.max(diffs) <= 10.0 * local
 
 
+    def test_raw_loop_is_the_series_definition(self, p25, rec25):
+        # t_k = int psi L^k Y dx through the public operators, bit for bit
+        mesh = rec25.density.mesh
+        psi = parse_observable("cos").f(mesh.nodes)
+        w = _zero_mean_source(p25, rec25)
+        terms = []
+        for _ in range(41):
+            terms.append(integrate(GridFunction(mesh, psi * w.values, w.s)))
+            w = apply_L(p25, w)
+        assert response_series(p25, rec25, "cos", K=40, tol=0.0).terms == terms
+
+
 class TestForwardSeries:
     def test_constant_zero(self, p25, rec25):
         res = response_series_forward(p25, rec25, "const", K=16)
@@ -185,6 +205,23 @@ class TestSusceptibility:
         sus = susceptibility(p25, rec25, "cos", z=1.0, K=300)
         res = response_series(p25, rec25, "cos", K=400, tol=1e-13)
         assert abs(sus - res.value) / abs(res.value) < 0.01
+
+    def test_raw_loop_is_the_preimage_sum_definition(self, p25, rec25):
+        # s_k = int psi' A^k W dx with W = X N rho and the A 1 = 2 mode
+        # deflated after every application, through the public operators
+        mesh = rec25.density.mesh
+        x = mesh.nodes
+        psi_p = parse_observable("cos2").fprime(x)
+        nr = apply_N(p25, rec25.density)
+        w = GridFunction(mesh, np.asarray(X(p25, x)) * nr.full_values(), 0.0)
+        terms = []
+        for _ in range(31):
+            terms.append(integrate(GridFunction(mesh, psi_p * w.values, 0.0)))
+            w = apply_preimage_sum(p25, w)
+            w = GridFunction(mesh, w.values - integrate(w), 0.0)
+        for z in (1.0, 0.6):
+            expected = float(np.sum(z ** np.arange(31) * np.asarray(terms)))
+            assert susceptibility(p25, rec25, "cos2", z, 30) == expected
 
     def test_divergence_detected(self, p25, rec25):
         with pytest.raises(ResponseDivergenceError):

@@ -83,21 +83,14 @@ class TestApplyL:
         assert np.all(apply_L(p3, f).values >= 0.0)
 
     def test_branch_decomposition_exact(self, p3, mesh3, rng):
-        from pmlab.transfer import _branch_values
+        from pmlab.grid import hermite_stack
+        from pmlab.transfer import _pullback, _pullback_data
 
         f = GridFunction(mesh3, rng.uniform(0.5, 2.0, mesh3.size), 0.3)
-        left, right = _branch_values(p3, f, mesh3)
+        wg, wr = _pullback(p3, mesh3, f.s, hermite_stack(mesh3, f.values))
+        left, right = wg * _pullback_data(p3, mesh3)["g"][1], 0.5 * wr
         assert np.array_equal(apply_L(p3, f).values, left + right)
         assert np.array_equal(apply_N(p3, f).values, left)
-
-    def test_mesh_mismatch(self, p3, mesh3):
-        # meshes compare by identity: an identical-content clone is another mesh
-        other = build_mesh(p3, 4096, 100, 1e-6)
-        f = GridFunction(other, np.ones(other.size), 0.3)
-        from pmlab.transfer import _branch_values
-
-        with pytest.raises(ValueError):
-            _branch_values(p3, f, mesh3)
 
     @given(st.tuples(*[st.floats(-1.0, 1.0) for _ in range(4)]))
     @settings(max_examples=15, deadline=None)
@@ -251,6 +244,12 @@ class TestPullbackData:
             f = GridFunction(mesh3, rng.standard_normal(mesh3.size), s)
             direct = evaluate_u(f, g) * np.exp(s * (np.log(x) - np.log(g))) * gp
             assert np.array_equal(apply_N(p3, f).values, direct)
+
+    def test_apply_preimage_sum_matches_direct_evaluation(self, p3, mesh3):
+        x = mesh3.nodes
+        f = GridFunction(mesh3, np.random.default_rng(13).standard_normal(mesh3.size), 0.0)
+        direct = evaluate_u(f, branch_inverse(p3, x, tol=0.0)) + evaluate_u(f, 0.5 * (x + 1.0))
+        assert np.array_equal(apply_preimage_sum(p3, f).values, direct)
 
     def test_jet_level0_is_apply_L_exactly(self, p3, mesh3):
         rng = np.random.default_rng(12)
