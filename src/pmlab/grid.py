@@ -4,7 +4,9 @@ A ``GridFunction`` stores a function as f(x) = x^(-s) * u(x) with bounded
 nodal values u on a singularity-graded ``Mesh``.  Quadrature integrates the
 piecewise-linear interpolant of u against the exact x^(-s) cell moments, as
 a dot product with a nonnegative quadrature vector q_s (``Mesh.quadrature``).
-Differentiation uses the product rule with 3-point nonuniform stencils on u.
+Differentiation uses the product rule with nonuniform stencils on u; the
+3-point weights of ``differentiate`` and the 5-point ones of
+``derivatives_full`` both come from ``fd_weights``.
 Point evaluation uses monotone piecewise-cubic (PCHIP) interpolation of u:
 a CSR matrix of cubic Hermite weights of the query points
 (``hermite_weights``) acts on the stacked nodal values and PCHIP slopes
@@ -468,45 +470,15 @@ def l1_norm(f: GridFunction) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _three_point_weights(x: np.ndarray) -> np.ndarray:
-    """Per-node 3-point first-derivative weights (constants annihilated)."""
-    n = x.size
-    w = np.zeros((n, 3))  # contributions of (left, self, right) neighbours
-    h = np.diff(x)
-    h1, h2 = h[:-1], h[1:]
-    w[1:-1, 0] = -h2 / (h1 * (h1 + h2))
-    w[1:-1, 2] = h1 / (h2 * (h1 + h2))
-    w[1:-1, 1] = -(w[1:-1, 0] + w[1:-1, 2])
-    # one-sided ends use the first/last three nodes
-    ha, hb = h[0], h[1]
-    w[0, 1] = (ha + hb) / (ha * hb)  # weight of node 1
-    w[0, 2] = -ha / (hb * (ha + hb))  # weight of node 2
-    w[0, 0] = -(w[0, 1] + w[0, 2])  # weight of node 0 itself
-    ha, hb = h[-2], h[-1]
-    w[-1, 1] = -(ha + hb) / (ha * hb)  # weight of node n-2
-    w[-1, 0] = hb / (ha * (ha + hb))  # weight of node n-3
-    w[-1, 2] = -(w[-1, 0] + w[-1, 1])  # weight of node n-1 itself
-    return w
-
-
-def _u_derivative(mesh: Mesh, u: np.ndarray) -> np.ndarray:
-    # difference form: constants are annihilated exactly, not just to rounding
-    w = mesh.cached("d1w", lambda: _frozen(_three_point_weights(mesh.nodes)))
-    du = np.empty_like(u)
-    du[1:-1] = w[1:-1, 0] * (u[:-2] - u[1:-1]) + w[1:-1, 2] * (u[2:] - u[1:-1])
-    du[0] = w[0, 1] * (u[1] - u[0]) + w[0, 2] * (u[2] - u[0])
-    du[-1] = w[-1, 0] * (u[-3] - u[-1]) + w[-1, 1] * (u[-2] - u[-1])
-    return du
-
-
 def differentiate(f: GridFunction) -> GridFunction:
     """Derivative of x^(-s) u via the product rule.
 
     The singular part is differentiated analytically and u by 3-point
-    nonuniform stencils, so the output has exponent s + 1 and values
+    nonuniform stencils (``u_derivatives_stencil``, one-sided at the ends,
+    exact 0 on constants), so the output has exponent s + 1 and values
     -s*u + x*u'.
     """
-    du = _u_derivative(f.mesh, f.values)
+    du = u_derivatives_stencil(f.mesh, f.values, 1, 3)[0]
     w = f.mesh.nodes * du
     if f.s != 0.0:
         w = w - f.s * f.values

@@ -1,7 +1,7 @@
 """Linear response of the invariant measure to the map parameter.
 
 Differentiating the fixed-point equation L rho = rho in the parameter gives
-(id - L) d_a rho = (d_a L) rho = -(X N rho)' = -Y, hence
+(id - L) d_a rho = (d_a L) rho = M rho = -(X N rho)' = -Y, hence
 
     value := d/da int psi d mu_a = - sum_k int psi L^k Y dx,
 
@@ -15,6 +15,9 @@ The resolvent (id - L)^(-1) is realized as the truncated Neumann sum of
 the zero-mean source Y, whose terms decay polynomially.  The tail of the
 series is estimated from a power-law fit of the computed terms and
 reported as an error bar, never added to the value.
+
+``response_source`` returns Y = -M rho from ``transfer.apply_M``, the one
+implementation of the operator derivative M = d_a L.
 """
 
 import math
@@ -23,15 +26,9 @@ from typing import Callable
 
 import numpy as np
 
-from .maps import MapParams, X, X_prime, forward, forward_deriv
-from .grid import (
-    GridFunction,
-    Mesh,
-    differentiate,
-    evaluate,
-    integrate,
-)
-from .transfer import DensityRecord, _step, apply_N, compute_density
+from .maps import MapParams, X, forward, forward_deriv
+from .grid import GridFunction, Mesh, evaluate, integrate
+from .transfer import DensityRecord, _field, _step, apply_M, apply_N, compute_density
 
 __all__ = [
     "Observable",
@@ -169,19 +166,15 @@ class ResponseResult:
 
 
 def response_source(p: MapParams, d: DensityRecord) -> GridFunction:
-    """Source term Y = (X * N rho)' in Leibniz form X' N rho + X (N rho)'.
+    """Source term Y = (X * N rho)' = -M rho, from ``apply_M``.
 
-    Both products are log-bounded: X' ~ x^a log kills the x^(-a) of rho and
-    X ~ x^(1+a) log kills the x^(-1-a) of rho'.  Returned with exponent 0;
-    its integral vanishes up to quadrature error since X(0) = X(1) = 0.
+    Both Leibniz products X' N rho and X (N rho)' are log-bounded: X' ~
+    x^a log kills the x^(-a) of rho and X ~ x^(1+a) log kills the
+    x^(-1-a) of rho'.  Returned with exponent 0; its integral vanishes up
+    to quadrature error since X(0) = X(1) = 0.
     """
     d.require_converged()
-    mesh = d.density.mesh
-    x = mesh.nodes
-    nf = apply_N(p, d.density)
-    dnf = differentiate(nf)
-    y = np.asarray(X_prime(p, x)) * nf.full_values() + np.asarray(X(p, x)) * dnf.full_values()
-    return GridFunction(mesh, y, 0.0)
+    return GridFunction(d.density.mesh, -apply_M(p, d.density).full_values(), 0.0)
 
 
 def _zero_mean_source(p: MapParams, d: DensityRecord) -> GridFunction:
@@ -422,7 +415,7 @@ def susceptibility(
     psi_p = np.asarray(obs.fprime(mesh.nodes), dtype=float)
     nr = apply_N(p, d.density)
     q, step = mesh.quadrature(0.0), _step(p, mesh, 0.0, preimage_sum=True)
-    w = np.asarray(X(p, mesh.nodes)) * nr.full_values()
+    w = _field(p, mesh, "X") * nr.full_values()
     terms = []
     for k in range(K + 1):
         terms.append(float(q @ (psi_p * w)))

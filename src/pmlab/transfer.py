@@ -7,7 +7,10 @@
 ``apply_N`` its left-branch part, ``apply_M`` the parameter derivative
 d/da L = -(X * N f)' in Leibniz form, and ``apply_d2L`` the second
 parameter derivative assembled from its seven Leibniz terms (the exact
-nodewise sum of ``seven_term_decomposition``).
+nodewise sum of ``seven_term_decomposition``).  The closed-form fields
+X, X', X'', d_a X and d_a X' they use are listed in ``_FIELDS``, and
+``_field`` evaluates one of them at the nodes once per (alpha, mesh), in
+``Mesh.cached``, so a process computes only the fields it reads.
 
 ``_power_iterate`` is the one stationary-vector loop (renormalized power
 iteration, L1 successive-difference stop).  ``compute_density`` runs it
@@ -198,20 +201,14 @@ def apply_preimage_sum(p: MapParams, f: GridFunction) -> GridFunction:
     return GridFunction(f.mesh, _step(p, f.mesh, 0.0, preimage_sum=True)(f.values), 0.0)
 
 
-def _fields(p: MapParams, mesh: Mesh):
-    def build():
-        x = mesh.nodes
-        vals = {
-            "X": np.asarray(X(p, x)),
-            "Xp": np.asarray(X_prime(p, x)),
-            "Xpp": np.asarray(X_double_prime(p, x)),
-            "dX": np.asarray(dalpha_X(p, x)),
-            "dXp": np.asarray(dalpha_X_prime(p, x)),
-        }
-        _frozen(*vals.values())
-        return vals
+_FIELDS = {"X": X, "X_prime": X_prime, "X_double_prime": X_double_prime,
+           "dalpha_X": dalpha_X, "dalpha_X_prime": dalpha_X_prime}
 
-    return mesh.cached(("fields", p.alpha), build)
+
+def _field(p: MapParams, mesh: Mesh, name: str) -> np.ndarray:
+    """Closed-form field ``_FIELDS[name]`` at the nodes, once per (alpha, mesh)."""
+    return mesh.cached(("field", name, p.alpha),
+                       lambda: _frozen(np.asarray(_FIELDS[name](p, mesh.nodes))))
 
 
 def apply_M(p: MapParams, f: GridFunction) -> GridFunction:
@@ -220,11 +217,11 @@ def apply_M(p: MapParams, f: GridFunction) -> GridFunction:
     Uses closed-form X, X' and the discrete derivative of N f; matches
     central a-differences of apply_L to O(eps^2) plus mesh error.
     """
-    fl = _fields(p, f.mesh)
     x = f.mesh.nodes
     nf = apply_N(p, f)
     dnf = differentiate(nf)  # exponent s+1, values = x^(s+1) (Nf)'
-    u_out = -fl["Xp"] * nf.values - fl["X"] / x * dnf.values
+    u_out = -_field(p, f.mesh, "X_prime") * nf.values
+    u_out -= _field(p, f.mesh, "X") / x * dnf.values
     return GridFunction(f.mesh, u_out, f.s)
 
 
@@ -242,23 +239,22 @@ def seven_term_decomposition(p: MapParams, f: GridFunction) -> list[GridFunction
     apply_L confirms this grouping).  Field derivatives are closed-form,
     (N f)' and (N f)'' discrete.
     """
-    fl = _fields(p, f.mesh)
+    X0, X1, X2, dX0, dX1 = (_field(p, f.mesh, name) for name in _FIELDS)
     x = f.mesh.nodes
     nf = apply_N(p, f)
     dnf = differentiate(nf)
     d2nf = differentiate(dnf)
     u, du, d2u = nf.values, dnf.values / x, d2nf.values / x**2
-    s = f.s
     terms = [
-        -fl["dXp"] * u,
-        -fl["dX"] * du,
-        fl["Xp"] ** 2 * u,
-        fl["Xp"] * fl["X"] * du,
-        fl["X"] * fl["Xpp"] * u,
-        2.0 * fl["X"] * fl["Xp"] * du,
-        fl["X"] ** 2 * d2u,
+        -dX1 * u,
+        -dX0 * du,
+        X1**2 * u,
+        X1 * X0 * du,
+        X0 * X2 * u,
+        2.0 * X0 * X1 * du,
+        X0**2 * d2u,
     ]
-    return [GridFunction(f.mesh, t, s) for t in terms]
+    return [GridFunction(f.mesh, t, f.s) for t in terms]
 
 
 def apply_d2L(p: MapParams, f: GridFunction) -> GridFunction:
@@ -361,14 +357,15 @@ def jet_from_density(
     rho frozen the jet update is an affine sup-contraction (rates (g')^(j+1)
     and 2^-(j+1)), so sweeping ``jet_apply`` with the base level pinned to
     rho converges geometrically away from 0 and like 1 - c x^alpha near it.
-    Stencil derivatives seed the iteration.
+    Stencil derivatives seed the iteration; ``ConvergenceError`` if the
+    relative change of a level is still above ``tol`` after ``max_sweeps``.
     """
     rho = record.density
     mesh = rho.mesh
     levels = [rho]
     for _ in range(order):
         levels.append(differentiate(levels[-1]))
-    jet = Jet(tuple(levels))
+    jet, delta = Jet(tuple(levels)), math.inf
     for _ in range(max_sweeps):
         new = jet_apply(p, jet)
         new = Jet((rho,) + new.levels[1:])
@@ -379,8 +376,9 @@ def jet_from_density(
         )
         jet = new
         if delta <= tol:
-            break
-    return jet
+            return jet
+    raise ConvergenceError(
+        f"jet_from_density: relative change {delta:.3e} after {max_sweeps} sweeps")
 
 
 def default_max_iter(alpha: float, tol: float, cap: int = 200_000) -> int:
@@ -420,10 +418,10 @@ def compute_density(
     Stops when the L1 distance between successive normalized iterates drops
     below ``tol``; if the budget runs out first the record comes back with
     ``converged`` false (callers that need a converged density call
-    ``require_converged()``).
+    ``require_converged()``).  ``ValueError`` unless 0 < tol < inf.
     """
-    if tol <= 0.0:
-        raise ValueError("compute_density: tol must be > 0")
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"compute_density: tol must be finite and > 0, got {tol!r}")
     a = p.alpha
     if max_iter is None:
         max_iter = default_max_iter(a, tol)
@@ -494,9 +492,12 @@ def ulam_stationary(
 ) -> GridFunction:
     """Stationary density of the Ulam chain: ``_power_iterate`` on the cell
     masses with step P^T and q = 1 (residual = L1 distance of densities),
-    ``ConvergenceError`` if it ends above ``tol``.  Returns the piecewise-
-    constant density on the partition (node i: mass / width of its cell).
+    ``ConvergenceError`` if it ends above ``tol``, ``ValueError`` unless
+    0 < tol < inf.  Returns the piecewise-constant density on the partition
+    (node i: mass / width of its cell).
     """
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"ulam_stationary: tol must be finite and > 0, got {tol!r}")
     ones = np.ones(U.widths.size)  # q, and the uniform start
     v, iterations, resid = _power_iterate(U.matrix.T.tocsr().dot, ones, ones,
                                           tol, max_iter)

@@ -164,6 +164,13 @@ class TestDifferentiate:
         rel = np.abs(d.values / x - 2.0 * x) / np.maximum(2.0 * x, 1e-4)
         assert np.max(rel[2:-2]) < 1e-10
 
+    def test_quadratic_one_sided_ends(self, mesh):
+        # the end nodes use one-sided 3-point windows, exact on quadratics
+        x = mesh.nodes
+        d = differentiate(GridFunction(mesh, x + x**2, 0.0))
+        for i in (0, -1):
+            assert d.values[i] / x[i] == pytest.approx(1.0 + 2.0 * x[i], rel=1e-12)
+
     def test_pure_power_analytic(self, mesh):
         f = GridFunction(mesh, np.ones(mesh.size), 0.3)
         d = differentiate(f)

@@ -12,6 +12,7 @@ from pmlab import (
     Observable,
     ResponseDivergenceError,
     apply_L,
+    apply_M,
     apply_N,
     apply_preimage_sum,
     build_mesh,
@@ -104,6 +105,30 @@ class TestResponseSource:
         rec = compute_density(p25, mesh, tol=1e-13, max_iter=2)
         with pytest.raises(ConvergenceError, match="not converged"):
             response_source(p25, rec)
+
+    def test_is_minus_M_rho(self, p25, rec25):
+        # one implementation of the source: Y = -M rho from apply_M
+        y = response_source(p25, rec25)
+        assert np.array_equal(y.values, -apply_M(p25, rec25.density).full_values())
+
+    def test_fields_cached_per_alpha_and_mesh(self, p25, rec25, monkeypatch):
+        # once the closed-form fields are cached on the mesh, neither the
+        # source nor the susceptibility inverts the branch again
+        import pmlab.maps
+
+        response_source(p25, rec25)
+        susceptibility(p25, rec25, "cos", 1.0, 4)
+        calls = []
+        inverse = pmlab.maps.branch_inverse
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return inverse(*args, **kwargs)
+
+        monkeypatch.setattr(pmlab.maps, "branch_inverse", counting)
+        response_source(p25, rec25)
+        susceptibility(p25, rec25, "cos", 1.0, 4)
+        assert calls == []
 
 
 class TestResponseSeries:
@@ -253,6 +278,12 @@ class TestFiniteDifference:
         mesh = rec0.density.mesh
         fd = finite_difference_response(p, "x", 5e-3, mesh, tol=1e-10)
         assert math.isfinite(fd)
+
+    @pytest.mark.parametrize("tol", [math.inf, math.nan])
+    def test_tol_must_be_finite(self, p25, tol):
+        mesh = build_mesh(p25, 256, 40, 1e-5)
+        with pytest.raises(ValueError, match="tol must be finite"):
+            finite_difference_response(p25, "x", 1e-2, mesh, tol=tol)
 
     def test_eps_domain(self, p25, rec25):
         with pytest.raises(ValueError):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import gc
+import math
 import weakref
 
 import numpy as np
@@ -229,6 +230,10 @@ class TestJets:
         )
         assert np.max(rel[win]) < 1e-3
 
+    def test_density_jet_budget_exhausted(self, p3, rec3):
+        with pytest.raises(ConvergenceError, match="after 3 sweeps"):
+            jet_from_density(p3, rec3, order=2, max_sweeps=3)
+
 
 class TestPullbackData:
     """The per-(alpha, mesh) pullback data reproduces the direct formulas
@@ -328,6 +333,12 @@ class TestComputeDensity:
         assert rec.residual == pytest.approx(residual, rel=1e-12)
         assert np.max(np.abs(rec.density.values - f.values) / np.abs(f.values)) <= 1e-12
 
+    @pytest.mark.parametrize("tol", [math.inf, math.nan, 0.0])
+    def test_tol_must_be_finite_and_positive(self, p3, tol):
+        mesh = build_mesh(p3, 256, 40, 1e-5)
+        with pytest.raises(ValueError, match="tol must be finite and > 0"):
+            compute_density(p3, mesh, tol=tol)
+
     def test_polynomial_rate(self, p3, mesh3):
         # ||f_k - rho||_1 consistent with k^(1 - 1/alpha) up to log factors
         ref = compute_density(p3, mesh3, tol=1e-11, max_iter=30000)
@@ -395,6 +406,12 @@ class TestUlam:
         U = build_ulam(p3, build_mesh(p3, 256, 40, 1e-5))
         with pytest.raises(ConvergenceError, match="residual"):
             ulam_stationary(U, tol=1e-13, max_iter=5)
+
+    @pytest.mark.parametrize("tol", [math.inf, math.nan, 0.0])
+    def test_stationary_tol_must_be_finite_and_positive(self, p3, tol):
+        U = build_ulam(p3, build_mesh(p3, 256, 40, 1e-5))
+        with pytest.raises(ValueError, match="tol must be finite and > 0"):
+            ulam_stationary(U, tol=tol)
 
     def test_stationary_mean_matches_grid(self, p3, rec3):
         part = build_mesh(p3, 2048, 60, 1e-5)
