@@ -87,19 +87,17 @@ class DensityCache:
         return self.root / f"density-{key}.json"
 
     def get(self, key: str) -> DensityRecord | None:
-        """The stored record, or None if it is missing or unreadable.
-
-        A truncated or malformed file counts as a miss; the next ``put``
-        replaces it atomically.
-        """
+        """The stored record, or None (a miss) if it is missing, truncated,
+        malformed or not converged; the next ``put`` replaces it atomically."""
         path = self.path(key)
         if not path.exists():
             return None
         try:
             with open(path) as fh:
-                return density_record_from_dict(json.load(fh))
+                rec = density_record_from_dict(json.load(fh))
         except (ValueError, KeyError, TypeError, AttributeError):
             return None
+        return rec if rec.converged else None
 
     def put(self, key: str, rec: DensityRecord) -> Path:
         self.root.mkdir(parents=True, exist_ok=True)

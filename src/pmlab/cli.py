@@ -137,10 +137,10 @@ def _emit(path, cfg, header, rows, json_payload):
 def _get_density(cfg, alpha=None):
     """Cache-backed density for the configured mesh.
 
-    Only converged records are stored, and a stored unconverged one (from
-    an older version) is recomputed: ``max_iter`` is not part of the key.
-    The record may still be unconverged; callers gate it with
-    ``rec.require_converged()``.
+    Only converged records are stored, and the cache serves no other (a
+    stored unconverged one, from an older version, is a miss): ``max_iter``
+    is not part of the key.  A recomputed record may still be unconverged;
+    callers gate it with ``rec.require_converged()``.
     """
     alpha = cfg["alpha"] if alpha is None else alpha
     p = MapParams(alpha)
@@ -148,7 +148,7 @@ def _get_density(cfg, alpha=None):
     key = cache_key(alpha, mesh.spec(), cfg["tol"])
     cache = DensityCache(resolve_cache_dir(cfg["cache_dir"]))
     rec = cache.get(key)
-    if rec is None or not rec.converged:
+    if rec is None:
         rec = compute_density(p, mesh, tol=cfg["tol"], max_iter=cfg["max_iter"])
         if rec.converged:
             cache.put(key, rec)

@@ -28,7 +28,7 @@ import numpy as np
 
 from .maps import MapParams, _as_array, _f_deriv, _ret
 from .grid import GridFunction, derivatives_full, integrate, integrate_to
-from .transfer import DensityRecord, jet_apply, jet_one
+from .transfer import DensityRecord, _jet_images, jet_apply, jet_one
 
 __all__ = [
     "ConeParams",
@@ -330,32 +330,26 @@ def default_cone_params(
     p: MapParams,
     density: DensityRecord,
     k_max: int = 20,
-    x_check: float | None = None,
-    safety: float = 0.5,
 ) -> ConeParams:
     """One admissible parameter choice, calibrated from the data.
 
-    Upper constants follow the invariance regime: b1 = alpha + 1,
-    b2 = 3 b1 (1 + alpha) + 21, b3 scaled until Omega_3 <= 1 on a y-grid.
-    The lower bars are fitted from the iterates L^k(1) (whose pinch ratios
-    -phi' x / phi and phi'' x^2 / phi sink to ~ alpha x^alpha near 0, so no
-    universal bar exists) with ``safety`` headroom and the b2_bar = 10 b1_bar
-    coupling; a is fitted from sup phi_k / (2 rho m); only existence of
-    admissible constants is known, so the calibrated values are recorded in
-    report metadata rather than treated as canonical.
+    Upper constants follow the invariance regime, b1 = alpha + 1,
+    b2 = 3 b1 (1 + alpha) + 21 and b3 = 3 b2 (1 + alpha) + 2 b1 + 10, at which
+    Omega_3 <= 1 on (0, 1/2].  The lower bars are fitted on the default
+    window from L^k(1), k = 1..k_max (whose pinch ratios -phi' x / phi and
+    phi'' x^2 / phi sink to ~ alpha x^alpha near 0, so no universal bar
+    exists) with headroom 0.5 and the b2_bar = 10 b1_bar coupling; a is fitted
+    from sup phi_k / (2 rho m).  Only existence of admissible constants is
+    known, so the values are recorded in report metadata, not canonical.
     """
+    if k_max < 1:
+        raise ValueError("default_cone_params: k_max must be >= 1")
     a_par = p.alpha
     mesh = density.density.mesh
-    mask, _ = _window(density.density, x_check)
+    mask, _ = _window(density.density, None)
     x = mesh.nodes[mask]
     b1, b2 = _upper_constants(a_par)
     b3 = 3.0 * b2 * (1.0 + a_par) + 2.0 * b1 + 10.0
-    ygrid = np.linspace(1e-4, 0.5, 512)
-    for _ in range(40):
-        cp_try = ConeParams(a=2.0, b1=b1, b2=b2, b3=b3, b1_bar=1e-6, b2_bar=1e-5)
-        if np.max(omega_factors(p, ygrid, cp_try)[2]) <= 1.0:
-            break
-        b3 *= 1.5
 
     rho = density.density.full_values()[mask]
     m1_min, m2_min, a_need = math.inf, math.inf, 1.0
@@ -378,7 +372,7 @@ def default_cone_params(
             "(at alpha = 0 they are constant and the C2 bars are degenerate; "
             "otherwise the mesh is too coarse) -- pass explicit ConeParams"
         )
-    b1_bar = safety * min(m1_min, m2_min / 10.0)
+    b1_bar = 0.5 * min(m1_min, m2_min / 10.0)
     a_fit = max(2.0**a_par * (a_par + 2.0), 1.1 * a_need, 1.0)
     return ConeParams(a=a_fit, b1=b1, b2=b2, b3=b3,
                       b1_bar=b1_bar, b2_bar=10.0 * b1_bar)
@@ -387,29 +381,25 @@ def default_cone_params(
 def invariance_experiment(
     p: MapParams,
     cone_id: str,
-    cp: ConeParams | None,
+    cp: ConeParams,
     k_max: int,
     density: DensityRecord,
-    x_check: float | None = None,
 ) -> list[ConeReport]:
     """Check L^k(1) and N(L^k(1)) against one cone for k = 1..k_max.
 
     For the mass-bound cones the N-images are checked with a doubled to 2a
-    (N halves the mass of half-mass-concentrated functions).  Returns the
-    flat list of reports, L-iterate then N-image per k.
+    (N halves the mass of half-mass-concentrated functions).  One read of
+    each jet L^k(1) gives both N(L^k(1)) and the next iterate L^(k+1)(1).
+    Returns the flat list of reports, L-iterate then N-image per k.
     """
     if k_max < 1:
         raise ValueError("invariance_experiment: k_max must be >= 1")
     if cone_id not in _CONES:
         raise ValueError(f"invariance_experiment: unknown cone {cone_id!r}")
-    if cp is None:
-        cp = default_cone_params(p, density, k_max=k_max, x_check=x_check)
-    mesh = density.density.mesh
     reports = []
-    jet = jet_one(p, mesh, _CONES[cone_id].order)
+    jet, _ = _jet_images(p, jet_one(p, density.density.mesh, _CONES[cone_id].order))
     for k in range(1, k_max + 1):
-        jet = jet_apply(p, jet)
-        njet = jet_apply(p, jet, branch="left")
+        nxt, njet = _jet_images(p, jet)
         for subject, jt, a_eff in (
             (f"L^{k}(1)", jet, cp.a),
             (f"N(L^{k}(1))", njet, 2.0 * cp.a),
@@ -417,15 +407,16 @@ def invariance_experiment(
             func = jt.levels[0]
             derivs = jt.full_values()
             if cone_id == "C2":
-                rep = check_C2(func, cp, x_check, subject, derivs=derivs)
+                rep = check_C2(func, cp, subject=subject, derivs=derivs)
             elif cone_id == "C3":
-                rep = check_C3(func, cp, x_check, subject, derivs=derivs)
+                rep = check_C3(func, cp, subject=subject, derivs=derivs)
             elif cone_id == "Cstar":
-                rep = check_Cstar(func, p, density, a_eff, x_check, subject,
+                rep = check_Cstar(func, p, density, a_eff, subject=subject,
                                   derivs=derivs)
             else:
-                rep = check_Cstar1(func, p, density, a_eff, cp.b1, x_check,
-                                   subject, derivs=derivs)
+                rep = check_Cstar1(func, p, density, a_eff, cp.b1, subject=subject,
+                                   derivs=derivs)
             rep.params["k"] = k
             reports.append(rep)
+        jet = nxt
     return reports

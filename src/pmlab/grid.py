@@ -529,8 +529,12 @@ def u_derivatives_stencil(mesh: Mesh, u: np.ndarray, order: int, pts: int = 5):
         return [fd_weights(xw, mesh.nodes, k, pos) for k in range(1, order + 1)], widx
 
     wlist, widx = mesh.cached(("stw", order, pts), build)
-    uw = u[widx] - u[:, None]  # difference form: exact on constants
-    return [np.sum(w * uw, axis=1) for w in wlist]
+    # difference form (exact on constants), summed one window column at a time
+    out = [w[:, 0] * (u[widx[:, 0]] - u) for w in wlist]
+    for acc, w in zip(out, wlist):
+        for c in range(1, pts):
+            acc += w[:, c] * (u[widx[:, c]] - u)
+    return out
 
 
 def derivatives_full(f: GridFunction, order: int, pts: int = 5):

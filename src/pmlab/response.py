@@ -397,7 +397,7 @@ def susceptibility(
     At z = 1 the value equals the backward series value (integration by
     parts identity).
     """
-    if abs(z) > 1.0:
+    if not abs(z) <= 1.0:
         raise ValueError("susceptibility: need |z| <= 1")
     if K < 1:
         raise ValueError("susceptibility: K must be >= 1")

@@ -21,12 +21,14 @@ an independent discretization of the same operator, and
 ``ulam_stationary`` runs the same loop on it.
 
 ``_pullback`` is the one pullback kernel, called by ``apply_L``,
-``apply_N``, ``apply_preimage_sum`` and ``jet_apply``: for f = x^(-s) u it
-reads [u; PCHIP slopes] at g(x_i) and (x_i + 1)/2 through CSR matrices
+``apply_N``, ``apply_preimage_sum`` and ``_jet_images``: for f = x^(-s) u
+it reads [u; PCHIP slopes] at g(x_i) and (x_i + 1)/2 through CSR matrices
 P_g, P_r (n x 2n, one ``Mesh.cached`` entry per alpha beside g and its
 x-derivatives) and applies the ratios (x/g)^s, (x/r)^s (cached per
 (alpha, s)).  ``_step``, u -> L(x^(-s) u) or A on raw nodal arrays with a
-reused [u; d] buffer, is the step of every L^k loop.
+reused [u; d] buffer, is the step of every L^k loop.  ``_jet_images`` reads
+a jet once for both of its images, N and L = N + the affine-branch term,
+so the cone experiment reads each iterate L^k(1) once.
 """
 
 import math
@@ -151,12 +153,12 @@ def _ratios(p: MapParams, mesh: Mesh, s: float):
     return mesh.cached(("ratios", p.alpha, s), build)
 
 
-def _pullback(p: MapParams, mesh: Mesh, s: float, ud: np.ndarray, affine: bool = True):
+def _pullback(p: MapParams, mesh: Mesh, s: float, ud: np.ndarray):
     """The one pullback kernel: for f = x^(-s) u with ud = [u; d], the branch
     reads x^s f(g(x)) = (x/g)^s u(g(x)) and x^s f(r(x)) at the nodes, as
-    fresh arrays (the second is None unless ``affine``)."""
+    fresh arrays."""
     pb, (eg, er) = _pullback_data(p, mesh), _ratios(p, mesh, s)
-    return (pb["Pg"] @ ud) * eg, (pb["Pr"] @ ud) * er if affine else None
+    return (pb["Pg"] @ ud) * eg, (pb["Pr"] @ ud) * er
 
 
 def _step(p: MapParams, mesh: Mesh, s: float, preimage_sum: bool = False):
@@ -178,7 +180,7 @@ def _step(p: MapParams, mesh: Mesh, s: float, preimage_sum: bool = False):
 
 def apply_N(p: MapParams, f: GridFunction) -> GridFunction:
     """Left-branch transfer operator: N f(x) = g'(x) f(g(x))."""
-    wg, _ = _pullback(p, f.mesh, f.s, hermite_stack(f.mesh, f.values), affine=False)
+    wg, _ = _pullback(p, f.mesh, f.s, hermite_stack(f.mesh, f.values))
     wg *= _pullback_data(p, f.mesh)["g"][1]
     return GridFunction(f.mesh, wg, f.s)
 
@@ -312,16 +314,14 @@ def jet_one(p: MapParams, mesh: Mesh, order: int = 3) -> Jet:
     return Jet(tuple(levels))
 
 
-def jet_apply(p: MapParams, jet: Jet, branch: str = "both") -> Jet:
-    """Chain-rule image of a jet under L (branch="both") or N ("left")."""
-    if branch not in ("both", "left"):
-        raise ValueError("jet_apply: branch must be 'both' or 'left'")
+def _jet_images(p: MapParams, jet: Jet) -> tuple[Jet, Jet]:
+    """Chain-rule images (L jet, N jet) from one two-branch read per level:
+    the L-image is the N-image plus the affine-branch term wr_j / 2^(j+1)."""
     mesh = jet.mesh
     x = mesh.nodes
     s = jet.levels[0].s
-    both = branch == "both"
     _, gp, gpp, gppp, gpppp = _pullback_data(p, mesh)["g"]
-    wg, wr = zip(*(_pullback(p, mesh, s + i, hermite_stack(mesh, lv.values), both)
+    wg, wr = zip(*(_pullback(p, mesh, s + i, hermite_stack(mesh, lv.values))
                    for i, lv in enumerate(jet.levels)))
     order = jet.order
     out = [wg[0] * gp]
@@ -336,12 +336,16 @@ def jet_apply(p: MapParams, jet: Jet, branch: str = "both") -> Jet:
             + x**2 * wg[1] * (4.0 * gp * gppp + 3.0 * gpp**2)
             + x**3 * wg[0] * gpppp
         )
-    if both:
-        for j in range(order + 1):
-            out[j] = out[j] + wr[j] * 0.5 ** (j + 1)
-    return Jet(tuple(
-        GridFunction(mesh, u, s + j) for j, u in enumerate(out)
-    ))
+    both = [u + wr[j] * 0.5 ** (j + 1) for j, u in enumerate(out)]
+    return tuple(Jet(tuple(GridFunction(mesh, _frozen(u), s + j) for j, u in enumerate(img)))
+                 for img in (both, out))
+
+
+def jet_apply(p: MapParams, jet: Jet, branch: str = "both") -> Jet:
+    """Chain-rule image of a jet under L (branch="both") or N ("left")."""
+    if branch not in ("both", "left"):
+        raise ValueError("jet_apply: branch must be 'both' or 'left'")
+    return _jet_images(p, jet)[branch == "left"]
 
 
 def jet_from_density(
@@ -383,6 +387,8 @@ def jet_from_density(
 
 def default_max_iter(alpha: float, tol: float, cap: int = 200_000) -> int:
     """Iteration budget matched to the polynomial L1 rate k^(1 - 1/alpha)."""
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"default_max_iter: tol must be finite and > 0, got {tol!r}")
     if alpha <= 0.0:
         return 64
     est = 8.0 * tol ** (alpha / (alpha - 1.0))

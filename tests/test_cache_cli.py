@@ -61,6 +61,18 @@ class TestCache:
         assert again is not None and again.iterations == rec.iterations
         assert not list(path.parent.glob("*.tmp"))
 
+    def test_unconverged_record_is_a_miss(self, tmp_path):
+        p = MapParams(0.2)
+        mesh = build_mesh(p, 128, 16, 1e-6)
+        rec = compute_density(p, mesh, tol=1e-8)
+        cache = DensityCache(tmp_path / "c")
+        key = cache_key(0.2, mesh.spec(), 1e-8)
+        path = cache.put(key, rec)
+        stored = json.loads(path.read_text())
+        stored["residual"] = 2.0 * stored["tol"]
+        path.write_text(json.dumps(stored))
+        assert cache.get(key) is None
+
     def test_resolve_dir_precedence(self, monkeypatch, tmp_path):
         monkeypatch.setenv("PMLAB_CACHE_DIR", str(tmp_path / "env"))
         assert resolve_cache_dir(None) == tmp_path / "env"
@@ -264,6 +276,27 @@ class TestCli:
         lines = out.read_text().splitlines()
         assert lines[1] == "alpha,observable,value,tail,k_used,fd_value,rel_diff"
         assert len(lines) == 4
+
+    def test_sweep_fd_columns(self, cache_env, tmp_path, capsys):
+        out = tmp_path / "s.csv"
+        code = main(["sweep", "--alphas", "0.1", "--obs", "x", "--fd-eps", "5e-3",
+                     "--mesh", "512", "--orbit-points", "24", "--x-min", "1e-7",
+                     "--tol", "1e-8", "--K", "64", "--out", str(out)])
+        assert code == 0
+        header, row = out.read_text().splitlines()[1:]
+        cols = dict(zip(header.split(","), row.split(",")))
+        assert np.isfinite(float(cols["fd_value"]))
+        assert np.isfinite(float(cols["rel_diff"]))
+
+    def test_response_susceptibility_value(self, cache_env, tmp_path, capsys):
+        out = tmp_path / "r.json"
+        code = main(["response", "--alpha", "0.2", "--mesh", "1024",
+                     "--orbit-points", "40", "--x-min", "1e-7", "--obs", "cos",
+                     "--K", "32", "--methods", "susceptibility",
+                     "--format", "json", "--out", str(out)])
+        assert code == 0
+        sus = json.loads(out.read_text())["results"]["susceptibility"]
+        assert "error" not in sus and np.isfinite(sus["value"])
 
     def test_sweep_own_density_not_converged_exit2(self, cache_env, tmp_path, capsys):
         out = tmp_path / "s.csv"

@@ -299,3 +299,24 @@ def test_report_shape_and_direct_check(cone, p25, rec25, mesh25):
         assert direct.margins == rep.margins
         assert direct.verdict == rep.verdict
         assert direct.params == {k: v for k, v in rep.params.items() if k != "k"}
+
+
+@pytest.mark.parametrize("cone, order", [("Cstar", 1), ("Cstar1", 1), ("C2", 2),
+                                         ("C3", 3)])
+def test_experiment_reads_each_iterate_once(cone, order, p25, rec25, monkeypatch):
+    # one two-branch read of L^k(1) gives N(L^k(1)) and L^(k+1)(1)
+    from pmlab import transfer
+
+    cp, k_max = default_cone_params(p25, rec25, k_max=3), 3
+    calls = []
+    pullback = transfer._pullback
+    monkeypatch.setattr(transfer, "_pullback",
+                        lambda *a: calls.append(a[2]) or pullback(*a))
+    reports = invariance_experiment(p25, cone, cp, k_max, rec25)
+    assert len(reports) == 2 * k_max
+    assert len(calls) == (k_max + 1) * (order + 1)
+
+
+def test_default_cone_params_needs_an_iterate(p25, rec25):
+    with pytest.raises(ValueError, match="k_max must be >= 1"):
+        default_cone_params(p25, rec25, k_max=0)

@@ -260,6 +260,10 @@ class TestSusceptibility:
         with pytest.raises(ValueError):
             susceptibility(p25, rec25, "cos", z=1.5)
 
+    def test_z_nan_rejected(self, p25, rec25):
+        with pytest.raises(ValueError, match=r"need \|z\| <= 1"):
+            susceptibility(p25, rec25, "cos", z=math.nan)
+
 
 class TestFiniteDifference:
     def test_constant_zero(self, p25, rec25):

@@ -35,7 +35,7 @@ from pmlab import (
 )
 from pmlab.grid import evaluate_u
 from pmlab.maps import forward
-from pmlab.transfer import ulam_l1_distance
+from pmlab.transfer import default_max_iter, ulam_l1_distance
 
 
 @pytest.fixture(scope="module")
@@ -234,6 +234,26 @@ class TestJets:
         with pytest.raises(ConvergenceError, match="after 3 sweeps"):
             jet_from_density(p3, rec3, order=2, max_sweeps=3)
 
+    def test_one_read_gives_both_images(self, p3, mesh3, monkeypatch):
+        from pmlab import transfer
+
+        jet = jet_apply(p3, jet_one(p3, mesh3, 3))
+        exponents = []
+        pullback = transfer._pullback
+        monkeypatch.setattr(transfer, "_pullback",
+                            lambda *a: exponents.append(a[2]) or pullback(*a))
+        l_img, n_img = transfer._jet_images(p3, jet)
+        assert exponents == [lv.s for lv in jet.levels]  # one read per level
+        monkeypatch.undo()
+        f = jet.levels[0]
+        assert np.array_equal(l_img.levels[0].values, apply_L(p3, f).values)
+        assert np.array_equal(n_img.levels[0].values, apply_N(p3, f).values)
+        for branch, img in (("both", l_img), ("left", n_img)):
+            again = jet_apply(p3, jet, branch)
+            assert [lv.s for lv in again.levels] == [lv.s for lv in img.levels]
+            assert all(np.array_equal(a.values, b.values)
+                       for a, b in zip(again.levels, img.levels))
+
 
 class TestPullbackData:
     """The per-(alpha, mesh) pullback data reproduces the direct formulas
@@ -332,6 +352,11 @@ class TestComputeDensity:
         assert rec.converged == (residual <= tol)
         assert rec.residual == pytest.approx(residual, rel=1e-12)
         assert np.max(np.abs(rec.density.values - f.values) / np.abs(f.values)) <= 1e-12
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-8, math.nan, math.inf])
+    def test_default_max_iter_checks_tol(self, tol):
+        with pytest.raises(ValueError, match="tol must be finite and > 0"):
+            default_max_iter(0.3, tol)
 
     @pytest.mark.parametrize("tol", [math.inf, math.nan, 0.0])
     def test_tol_must_be_finite_and_positive(self, p3, tol):
