@@ -64,7 +64,7 @@ def _inverse_orbit(p: MapParams, n: int) -> np.ndarray:
     x = np.empty(n + 1)
     x[0] = 1.0
     for ell in range(1, n + 1):
-        x[ell] = branch_inverse(p, x[ell - 1], tol=0.0)
+        x[ell] = branch_inverse(p, x[ell - 1])
     return x
 
 

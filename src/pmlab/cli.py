@@ -47,6 +47,7 @@ from .cones import (
 )
 from .response import (
     ResponseDivergenceError,
+    _check_fd_eps,
     finite_difference_response,
     forward_noise_scale,
     parse_observable,
@@ -218,8 +219,11 @@ def cmd_response(cfg) -> int:
 
 
 def cmd_validate(cfg) -> int:
-    p, rec, _ = _get_density(cfg)
-    rec.require_converged()
+    p = MapParams(cfg["alpha"])
+    epsilons = [float(e) for e in cfg["eps"].split(",")]  # checked before any work
+    for eps in epsilons:
+        _check_fd_eps(p.alpha, eps)
+    rec = _get_density(cfg)[1].require_converged()
     obs = parse_observable(cfg["obs"])
     series = response_series(p, rec, obs, cfg["K"], cfg["series_tol"])
     rows = [("series_backward", series.value, math.nan)]
@@ -242,8 +246,7 @@ def cmd_validate(cfg) -> int:
         comparisons["susceptibility"] = _rel(sus, series.value)
     mesh = rec.density.mesh
     fd_vals = {}
-    for eps_s in cfg["eps"].split(","):
-        eps = float(eps_s)
+    for eps in epsilons:
         fd = finite_difference_response(p, obs, eps, mesh, tol=cfg["tol"],
                                         max_iter=cfg["max_iter"])
         fd_vals[eps] = fd
@@ -275,8 +278,8 @@ def cmd_cones(cfg) -> int:
         if cfg["grid"] < 1:
             raise ValueError("cones: --grid must be >= 1")
         y = np.linspace(0.5 / cfg["grid"], 0.5, cfg["grid"])
-        b1, b2 = _upper_constants(p.alpha)
-        cp = ConeParams(a=2.0, b1=b1, b2=b2, b3=400.0, b1_bar=1e-3, b2_bar=1e-2)
+        b1, b2, b3 = _upper_constants(p.alpha)
+        cp = ConeParams(a=2.0, b1=b1, b2=b2, b3=b3, b1_bar=1e-3, b2_bar=1e-2)
         o1, o2, o3 = omega_factors(p, y, cp)
         ob1, ob2 = omega_bar_factors(p, y, cp)
         rows = list(zip(y.tolist(), o1.tolist(), o2.tolist(), o3.tolist(),
@@ -309,6 +312,7 @@ def cmd_decay(cfg) -> int:
     if prefix is None:
         raise ValueError("decay: --out prefix is required (writes three files)")
     p = MapParams(cfg["alpha"])
+    orbit = neutral_orbit(p, cfg["ell_max"])  # checks --ell-max before any other work
     # only the operator method reads the density; the orbit statistics do not
     rec = (_get_density(cfg)[1].require_converged()
            if cfg["method"] == "operator" else None)
@@ -317,7 +321,6 @@ def cmd_decay(cfg) -> int:
         n_orbits=cfg["orbits"], orbit_len=cfg["orbit_len"],
         burn_in=cfg["burn_in"], seed=cfg["seed"],
     )
-    orbit = neutral_orbit(p, cfg["ell_max"])
     mean, se = birkhoff_average(p, cfg["psi"], cfg["orbits"],
                                 max(cfg["orbit_len"], 2 * cfg["burn_in"] + 8),
                                 cfg["burn_in"], cfg["seed"])
@@ -375,6 +378,8 @@ def cmd_sweep(cfg) -> int:
     alphas = _parse_alphas(cfg["alphas"])
     if not alphas or any(not 0.0 <= a < 1.0 for a in alphas):
         raise ValueError("sweep: --alphas must give one or more alphas in [0, 1)")
+    if cfg["fd_eps"]:  # 0 is off; the largest alpha bounds alpha + eps
+        _check_fd_eps(max(alphas), cfg["fd_eps"])
     # the pool forks all of its processes at the first submit
     workers = min(cfg["workers"], len(alphas))
     if workers > 1:

@@ -9,10 +9,10 @@ inequalities, one entry each of the ``_CONES`` table:
 * Cstar:   0 <= phi <= 2 a rho m(phi),  -(alpha+1)/x phi <= phi' <= 0
 * Cstar1:  0 <= phi <= 2 a rho m(phi),  |phi'| <= b1/x phi
 
-Membership is asserted on mesh nodes in [x_check, 1] (the testable
-surrogate for the continuum statements; x_check = 10 x_min keeps the
-extrapolation zone out).  Derivatives come from 5-point nonuniform
-stencils through the singular factorization.
+Membership is asserted on the mesh nodes of one window [x_check, 1] (the
+testable surrogate for the continuum statements; x_check = 10 x_min keeps
+the extrapolation zone out).  Derivatives come from 5-point nonuniform
+stencils through the singular factorization, unless a jet supplies them.
 
 ``omega_factors`` evaluates the closed-form bracket factors that drive the
 invariance proofs for the one-branch operator N: Omega_i <= 1 on (0, 1/2]
@@ -114,9 +114,8 @@ def _margin(lhs, rhs, nodes):
     return float(m[i]), float(nodes[i])
 
 
-def _window(f: GridFunction, x_check: float | None):
-    if x_check is None:
-        x_check = 10.0 * f.mesh.x_min
+def _window(f: GridFunction):
+    x_check = 10.0 * f.mesh.x_min
     mask = f.mesh.nodes >= x_check
     if mask.sum() < 8:
         raise ValueError("cone check: window [x_check, 1] holds fewer than 8 nodes")
@@ -160,13 +159,13 @@ _CONES = {
 def _check(cone_id, f, params, subject, derivs, density=None) -> ConeReport:
     """Membership of f in the cone ``_CONES[cone_id]`` on the check window.
 
-    ``params`` are the report's params after "cone"; the resolved window
-    start replaces their "x_check" entry (None for the default) in place.
+    ``params`` are the report's params after "cone"; the window start
+    fills their "x_check" entry (None) in place.
     """
     cone = _CONES[cone_id]
     if cone.mass and density.params.alpha != params["alpha"]:
         raise ValueError(f"check_{cone_id}: density was computed for another alpha")
-    mask, xc = _window(f, params["x_check"])
+    mask, xc = _window(f)
     x = f.mesh.nodes[mask]
     if derivs is None:
         derivs = derivatives_full(f, cone.order)
@@ -197,18 +196,18 @@ def _check(cone_id, f, params, subject, derivs, density=None) -> ConeReport:
     )
 
 
-def check_C2(f: GridFunction, cp: ConeParams, x_check: float | None = None,
-             subject: str = "", derivs: list | None = None) -> ConeReport:
+def check_C2(f: GridFunction, cp: ConeParams, subject: str = "",
+             derivs: list | None = None) -> ConeReport:
     """Membership in C2 on the check window.
 
     ``derivs`` may supply precomputed nodal values [phi, phi', phi''] (e.g.
     from a chain-rule jet); the default is 5-point stencil differentiation.
     """
-    return _check("C2", f, {"x_check": x_check, **cp.to_dict()}, subject, derivs)
+    return _check("C2", f, {"x_check": None, **cp.to_dict()}, subject, derivs)
 
 
-def check_C3(f: GridFunction, cp: ConeParams, x_check: float | None = None,
-             subject: str = "", derivs: list | None = None) -> ConeReport:
+def check_C3(f: GridFunction, cp: ConeParams, subject: str = "",
+             derivs: list | None = None) -> ConeReport:
     """Membership in C3 = C2 plus the third-derivative pinch.
 
     Stencil third derivatives need a reasonably fine mesh; jets bypass the
@@ -216,29 +215,27 @@ def check_C3(f: GridFunction, cp: ConeParams, x_check: float | None = None,
     """
     if derivs is None and f.mesh.size < 2048:
         raise ValueError("check_C3: needs mesh size >= 2048 for stable phi'''")
-    return _check("C3", f, {"x_check": x_check, **cp.to_dict()}, subject, derivs)
+    return _check("C3", f, {"x_check": None, **cp.to_dict()}, subject, derivs)
 
 
 def check_Cstar(f: GridFunction, p: MapParams, density: DensityRecord, a: float,
-                x_check: float | None = None, subject: str = "",
-                derivs: list | None = None) -> ConeReport:
+                subject: str = "", derivs: list | None = None) -> ConeReport:
     """Membership in C_*(alpha, a): decreasing, mass-dominated by 2 a rho.
 
     Also reports the half-mass property int_0^(1/2) phi >= m(phi)/2 (it is
     what upgrades N-images into the doubled-a cone), without letting it
     affect the verdict.
     """
-    return _check("Cstar", f, {"alpha": p.alpha, "a": a, "x_check": x_check},
+    return _check("Cstar", f, {"alpha": p.alpha, "a": a, "x_check": None},
                   subject, derivs, density)
 
 
 def check_Cstar1(f: GridFunction, p: MapParams, density: DensityRecord, a: float,
-                 b1: float, x_check: float | None = None,
-                 subject: str = "", derivs: list | None = None) -> ConeReport:
+                 b1: float, subject: str = "", derivs: list | None = None) -> ConeReport:
     """Membership in C_*1(alpha, a, b1): |phi'| <= b1 phi / x plus the mass
     bound; the decreasing condition of C_* is dropped."""
     return _check("Cstar1", f,
-                  {"alpha": p.alpha, "a": a, "b1": b1, "x_check": x_check},
+                  {"alpha": p.alpha, "a": a, "b1": b1, "x_check": None},
                   subject, derivs, density)
 
 
@@ -247,10 +244,11 @@ def check_Cstar1(f: GridFunction, p: MapParams, density: DensityRecord, a: float
 # ---------------------------------------------------------------------------
 
 
-def _upper_constants(alpha: float) -> tuple[float, float]:
-    """b1 = alpha + 1 and b2 = 3 b1 (1 + alpha) + 21 of the invariance regime."""
+def _upper_constants(alpha: float) -> tuple[float, float, float]:
+    """b1, b2, b3 of the invariance regime (see ``default_cone_params``)."""
     b1 = alpha + 1.0
-    return b1, 3.0 * b1 * (1.0 + alpha) + 21.0
+    b2 = 3.0 * b1 * (1.0 + alpha) + 21.0
+    return b1, b2, 3.0 * b2 * (1.0 + alpha) + 2.0 * b1 + 10.0
 
 
 def _left_branch(p: MapParams, y, name: str):
@@ -346,10 +344,9 @@ def default_cone_params(
         raise ValueError("default_cone_params: k_max must be >= 1")
     a_par = p.alpha
     mesh = density.density.mesh
-    mask, _ = _window(density.density, None)
+    mask, _ = _window(density.density)
     x = mesh.nodes[mask]
-    b1, b2 = _upper_constants(a_par)
-    b3 = 3.0 * b2 * (1.0 + a_par) + 2.0 * b1 + 10.0
+    b1, b2, b3 = _upper_constants(a_par)
 
     rho = density.density.full_values()[mask]
     m1_min, m2_min, a_need = math.inf, math.inf, 1.0

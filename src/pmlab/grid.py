@@ -170,7 +170,7 @@ def build_mesh(p: MapParams, n: int, L: int, x_min: float = 1e-10) -> Mesh:
     orbit = [1.0, 0.5]
     x = 0.5
     while len(orbit) <= L:
-        x = branch_inverse(p, x, tol=0.0)
+        x = branch_inverse(p, x)
         if x <= x_min:
             break
         orbit.append(x)
@@ -485,16 +485,15 @@ def differentiate(f: GridFunction) -> GridFunction:
     return GridFunction(f.mesh, w, f.s + 1.0)
 
 
-def fd_weights(
-    xw: np.ndarray, centers: np.ndarray, order: int, center_pos: np.ndarray | None = None
-) -> np.ndarray:
+def fd_weights(xw: np.ndarray, centers: np.ndarray, order: int,
+               center_pos: np.ndarray) -> np.ndarray:
     """Batched stencil weights for the ``order``-th derivative.
 
     ``xw`` has shape (n, p): each row is a window of p nodes; ``centers``
     the evaluation points.  Weights come from local polynomial
-    interpolation (Vandermonde solve in shifted/scaled coordinates).  When
-    ``center_pos`` gives the index of the center inside each window, the
-    weights are corrected there so constants are annihilated exactly.
+    interpolation (Vandermonde solve in shifted/scaled coordinates), then
+    corrected at ``center_pos``, the index of the center inside each
+    window, so constants are annihilated exactly.
     """
     n, pts = xw.shape
     if order >= pts:
@@ -508,7 +507,7 @@ def fd_weights(
     rhs[:, order] = math.factorial(order)
     w = np.linalg.solve(A, rhs[:, :, None])[:, :, 0]
     w /= scale[:, None] ** order
-    if order >= 1 and center_pos is not None:
+    if order >= 1:
         w[np.arange(n), center_pos] -= w.sum(axis=1)
     return w
 
@@ -537,15 +536,15 @@ def u_derivatives_stencil(mesh: Mesh, u: np.ndarray, order: int, pts: int = 5):
     return out
 
 
-def derivatives_full(f: GridFunction, order: int, pts: int = 5):
+def derivatives_full(f: GridFunction, order: int):
     """Nodal values of f and its first ``order`` derivatives.
 
     The singular factor x^(-s) is differentiated analytically; u-derivatives
-    use ``pts``-point stencils.  Returns [f, f', ..., f^(order)].
+    use 5-point stencils.  Returns [f, f', ..., f^(order)].
     """
     x = f.mesh.nodes
     u = f.values
-    uders = [u] + u_derivatives_stencil(f.mesh, u, order, pts)
+    uders = [u] + u_derivatives_stencil(f.mesh, u, order, 5)
     xs = x ** (-f.s) if f.s != 0.0 else np.ones_like(x)
     out = []
     for m in range(order + 1):

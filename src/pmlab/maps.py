@@ -97,24 +97,22 @@ def forward_deriv(p: MapParams, x, order: int = 1):
     return _ret(out, scalar)
 
 
-def branch_inverse(p: MapParams, y, tol: float = 1e-13):
+def branch_inverse(p: MapParams, y):
     """Invert the left branch: the unique g in [0, 1/2] with f_a(g) = y.
 
     Newton iteration started at the expansion y*(1 - 2^a y^a), safeguarded
     by bisection on [0, 1/2]; f_a is strictly increasing and convex on the
-    branch so the bracket never fails.  ``tol`` bounds |f_a(g) - y|;
-    tol = 0 iterates to full double precision.  A scalar y runs the same
-    iteration on Python floats and returns the same bits as a 1-element
-    array, without the per-call overhead of array operations.
+    branch so the bracket never fails.  It runs to full double precision:
+    it stops when f_a(g) == y or when a step no longer moves g.  A scalar y
+    runs the same iteration on Python floats and returns the same bits as a
+    1-element array, without the per-call overhead of array operations.
     """
-    if tol < 0.0:
-        raise ValueError("branch_inverse: tol must be >= 0")
     a = p.alpha
     if np.ndim(y) == 0:
         yf = float(y)
         if not 0.0 <= yf <= 1.0:
             raise ValueError("branch_inverse: y outside [0, 1]")
-        return 0.5 * yf if a == 0.0 else _branch_inverse_scalar(a, yf, tol)
+        return 0.5 * yf if a == 0.0 else _branch_inverse_scalar(a, yf)
     ya, scalar = _as_array(y)
     if not np.all((ya >= 0.0) & (ya <= 1.0)):
         raise ValueError("branch_inverse: y outside [0, 1]")
@@ -140,7 +138,7 @@ def branch_inverse(p: MapParams, y, tol: float = 1e-13):
         high = r > 0.0
         hi[act] = np.where(high, ga, hi[act])
         lo[act] = np.where(high, lo[act], ga)
-        conv = np.abs(r) <= tol
+        conv = r == 0.0
         gn = ga - r / (1.0 + two_a * (1.0 + a) * ga**a)
         outside = (gn <= lo[act]) | (gn >= hi[act])
         gn = np.where(outside, 0.5 * (lo[act] + hi[act]), gn)
@@ -153,7 +151,7 @@ def branch_inverse(p: MapParams, y, tol: float = 1e-13):
     return _ret(g, scalar)
 
 
-def _branch_inverse_scalar(a: float, y: float, tol: float) -> float:
+def _branch_inverse_scalar(a: float, y: float) -> float:
     """The loop of ``branch_inverse`` on one Python float, step for step.
 
     Every power goes through the ``np.power`` ufunc, as in the array loop,
@@ -176,7 +174,7 @@ def _branch_inverse_scalar(a: float, y: float, tol: float) -> float:
             hi = g
         else:
             lo = g
-        if abs(r) <= tol:
+        if r == 0.0:
             return g
         gn = g - r / (1.0 + c1 * float(pw(g, a)))
         if gn <= lo or gn >= hi:
@@ -213,7 +211,7 @@ def _g_chain(p: MapParams, y, order: int):
     g'''' = -T'''' g'^5 + 10 T'' T''' g'^6 - 15 T''^3 g'^7.
     """
     a = p.alpha
-    g = np.atleast_1d(np.asarray(branch_inverse(p, y, tol=0.0), dtype=float))
+    g = np.atleast_1d(np.asarray(branch_inverse(p, y), dtype=float))
     gp = 1.0 / _f_deriv(a, g, 1)
     res = [g, gp]
     if order >= 2:
@@ -307,7 +305,7 @@ def X(p: MapParams, x):
     """
     xa, scalar = _as_array(x)
     _check_unit(xa, "X", allow_zero=True)
-    g = np.atleast_1d(np.asarray(branch_inverse(p, xa, tol=0.0), dtype=float))
+    g = np.atleast_1d(np.asarray(branch_inverse(p, xa), dtype=float))
     return _ret(_v(p.alpha, g), scalar)
 
 

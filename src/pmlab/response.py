@@ -27,7 +27,7 @@ from typing import Callable
 import numpy as np
 
 from .maps import MapParams, X, forward, forward_deriv
-from .grid import GridFunction, Mesh, evaluate, integrate
+from .grid import GridFunction, Mesh, _frozen, evaluate, integrate
 from .transfer import DensityRecord, _field, _step, apply_M, apply_N, compute_density
 
 __all__ = [
@@ -197,8 +197,8 @@ def observable_mean(obs: Observable, d: DensityRecord) -> float:
     return integrate(GridFunction(mesh, psi * d.density.values, d.density.s))
 
 
-def _fit_tail(terms: np.ndarray, k0: int = 1):
-    """Least-squares power-law fit |t_k| ~ C k^(-r) on the last third.
+def _fit_tail(terms: np.ndarray):
+    """Power-law least-squares fit |terms[k-1]| ~ C k^(-r) on the last third.
 
     Returns (r, tail_beyond_last) with the tail summed analytically from
     the fit.  (nan, 0) for degenerate all-tiny series.  A non-summable fit
@@ -207,7 +207,7 @@ def _fit_tail(terms: np.ndarray, k0: int = 1):
     floor far below it the series has converged and the floor itself is
     the honest error bar.
     """
-    k = np.arange(k0, k0 + terms.size, dtype=float)
+    k = np.arange(1, 1 + terms.size, dtype=float)
     mag = np.abs(terms)
     peak = float(mag.max(initial=0.0))
     if peak <= 1e-6:
@@ -325,21 +325,19 @@ def forward_noise_scale(mesh: Mesh, obs, d: DensityRecord) -> float:
     return sd * float(np.sqrt(np.sum(mesh.widths**2)))
 
 
-def _gauss_cells(mesh: Mesh, npts: int = 4):
-    """Gauss-Legendre nodes/weights on every mesh cell (flattened)."""
+def _gauss_cells(mesh: Mesh):
+    """4-point Gauss-Legendre nodes/weights on every mesh cell (flattened)."""
 
     def build():
-        gx, gw = np.polynomial.legendre.leggauss(npts)
+        gx, gw = np.polynomial.legendre.leggauss(4)
         a, b = mesh.nodes[:-1], mesh.nodes[1:]
         mid = 0.5 * (a + b)[:, None]
         half = 0.5 * (b - a)[:, None]
         pts = (mid + half * gx[None, :]).ravel()
         wts = (half * gw[None, :]).ravel()
-        pts.setflags(write=False)
-        wts.setflags(write=False)
-        return pts, wts
+        return _frozen(pts, wts)
 
-    return mesh.cached(("gauss", npts), build)
+    return mesh.cached("gauss", build)
 
 
 def susceptibility_terms_orbitwise(
@@ -427,6 +425,14 @@ def susceptibility(
     return float(np.sum(zs * np.asarray(terms)))
 
 
+def _check_fd_eps(alpha: float, eps: float) -> None:
+    """``ValueError`` unless eps > 0 and alpha + eps < 1, the FD step's domain."""
+    if not eps > 0.0:
+        raise ValueError("finite_difference_response: eps must be > 0")
+    if alpha + eps >= 1.0:
+        raise ValueError("finite_difference_response: alpha + eps must stay below 1")
+
+
 def finite_difference_response(
     p: MapParams,
     obs,
@@ -443,12 +449,9 @@ def finite_difference_response(
     to match the series orientation.  A density that does not converge
     raises ``ConvergenceError``.
     """
-    if eps <= 0.0:
-        raise ValueError("finite_difference_response: eps must be > 0")
-    obs = parse_observable(obs)
     a = p.alpha
-    if a + eps >= 1.0:
-        raise ValueError("finite_difference_response: alpha + eps must stay below 1")
+    _check_fd_eps(a, eps)
+    obs = parse_observable(obs)
 
     def mean_at(alpha_val: float) -> float:
         rec = compute_density(MapParams(alpha_val), mesh, tol=tol, max_iter=max_iter)

@@ -27,8 +27,8 @@ P_g, P_r (n x 2n, one ``Mesh.cached`` entry per alpha beside g and its
 x-derivatives) and applies the ratios (x/g)^s, (x/r)^s (cached per
 (alpha, s)).  ``_step``, u -> L(x^(-s) u) or A on raw nodal arrays with a
 reused [u; d] buffer, is the step of every L^k loop.  ``_jet_images`` reads
-a jet once for both of its images, N and L = N + the affine-branch term,
-so the cone experiment reads each iterate L^k(1) once.
+a jet once for both images, N and L = N + the affine-branch term (``jet_apply``
+returns L), so the cone experiment reads each iterate L^k(1) once.
 """
 
 import math
@@ -341,18 +341,15 @@ def _jet_images(p: MapParams, jet: Jet) -> tuple[Jet, Jet]:
                  for img in (both, out))
 
 
-def jet_apply(p: MapParams, jet: Jet, branch: str = "both") -> Jet:
-    """Chain-rule image of a jet under L (branch="both") or N ("left")."""
-    if branch not in ("both", "left"):
-        raise ValueError("jet_apply: branch must be 'both' or 'left'")
-    return _jet_images(p, jet)[branch == "left"]
+def jet_apply(p: MapParams, jet: Jet) -> Jet:
+    """Chain-rule image of a jet under L (``_jet_images`` also gives N's)."""
+    return _jet_images(p, jet)[0]
 
 
 def jet_from_density(
     p: MapParams,
     record: DensityRecord,
     order: int = 3,
-    tol: float = 1e-11,
     max_sweeps: int = 2000,
 ) -> Jet:
     """Self-consistent derivative jet of the invariant density.
@@ -362,7 +359,7 @@ def jet_from_density(
     and 2^-(j+1)), so sweeping ``jet_apply`` with the base level pinned to
     rho converges geometrically away from 0 and like 1 - c x^alpha near it.
     Stencil derivatives seed the iteration; ``ConvergenceError`` if the
-    relative change of a level is still above ``tol`` after ``max_sweeps``.
+    relative change of a level is still above 1e-11 after ``max_sweeps``.
     """
     rho = record.density
     mesh = rho.mesh
@@ -379,20 +376,20 @@ def jet_from_density(
             for j in range(1, order + 1)
         )
         jet = new
-        if delta <= tol:
+        if delta <= 1e-11:
             return jet
     raise ConvergenceError(
         f"jet_from_density: relative change {delta:.3e} after {max_sweeps} sweeps")
 
 
-def default_max_iter(alpha: float, tol: float, cap: int = 200_000) -> int:
-    """Iteration budget matched to the polynomial L1 rate k^(1 - 1/alpha)."""
+def default_max_iter(alpha: float, tol: float) -> int:
+    """Budget of 64 to 200 000 steps matched to the L1 rate k^(1 - 1/alpha)."""
     if not 0.0 < tol < math.inf:
         raise ValueError(f"default_max_iter: tol must be finite and > 0, got {tol!r}")
     if alpha <= 0.0:
         return 64
     est = 8.0 * tol ** (alpha / (alpha - 1.0))
-    return int(min(cap, max(64.0, est)))
+    return int(min(200_000, max(64.0, est)))
 
 
 def _power_iterate(step, q, u, tol, max_iter):
@@ -476,7 +473,7 @@ def build_ulam(p: MapParams, partition: Mesh) -> UlamOperator:
 
     edges = np.concatenate([[0.0], partition.nodes])
     m = edges.size - 1
-    ends = np.stack([np.asarray(branch_inverse(p, edges, tol=0.0)), 0.5 * (edges + 1.0)])
+    ends = np.stack([np.asarray(branch_inverse(p, edges)), 0.5 * (edges + 1.0)])
     pos = np.searchsorted(edges, ends, side="right")
     # intervals ordered (cell j, branch): preimages of cell j are adjacent
     lo, hi = ends[:, :-1].T.ravel(), ends[:, 1:].T.ravel()

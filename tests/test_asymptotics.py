@@ -92,7 +92,7 @@ class TestContractionFactor:
         ell, m = 4, 5
         xs = [1.0]
         for _ in range(ell + m):
-            xs.append(branch_inverse(p, xs[-1], tol=0.0))
+            xs.append(branch_inverse(p, xs[-1]))
         prod = 1.0
         for j in range(ell + 1, ell + m + 1):
             prod *= 1.0 / forward_deriv(p, xs[j], 1)

@@ -167,6 +167,18 @@ class TestCli:
         assert abs(payload["max"]["omega1"] - 1.0) < 1e-12
         assert abs(payload["max"]["omega2"] - 1.0) < 1e-12
 
+    @pytest.mark.parametrize("alpha", [0.05, 0.3, 0.6, 0.9])
+    def test_cones_omega_uses_experiment_b3(self, cache_env, tmp_path, capsys, alpha):
+        # the table evaluates Omega_3 at the b3 of default_cone_params
+        out = tmp_path / "o.json"
+        assert main(["cones", "--alpha", str(alpha), "--cone", "omega",
+                     "--format", "json", "--out", str(out)]) == 0
+        payload = json.loads(out.read_text())
+        b1 = alpha + 1.0
+        b2 = 3.0 * b1 * (1.0 + alpha) + 21.0
+        assert payload["cone_params"]["b3"] == 3.0 * b2 * (1.0 + alpha) + 2.0 * b1 + 10.0
+        assert payload["max"]["omega3"] <= 1.0
+
     def test_cones_experiment(self, cache_env, tmp_path, capsys):
         out = tmp_path / "c.csv"
         code = main(["cones", "--alpha", "0.25", "--cone", "Cstar",
@@ -245,6 +257,33 @@ class TestCli:
         assert "pmlab: error:" in err
         assert ("'bogus'" in err) if methods == "bogus" else ("no method" in err)
         assert not out.exists()
+        assert not list((tmp_path / "cache").glob("density-*.json"))
+
+    @pytest.mark.parametrize("argv, message", [
+        (["validate", "--eps", "abc"], "could not convert"),
+        (["validate", "--eps", "1e-2,0"], "must be > 0"),
+        (["validate", "--eps", "0.8"], "stay below 1"),
+        (["sweep", "--alphas", "0.2", "--fd-eps", "-0.01"], "must be > 0"),
+        (["sweep", "--alphas", "0.2,0.5", "--fd-eps", "0.5"], "stay below 1"),
+        (["decay", "--method", "montecarlo", "--ell-max", "1"], "ell_max"),
+        (["decay", "--method", "operator", "--ell-max", "1"], "ell_max"),
+    ])
+    def test_usage_checked_before_work(self, cache_env, tmp_path, capsys, monkeypatch,
+                                       argv, message):
+        calls = []
+        for name in ("compute_density", "correlation_decay"):
+            fn = getattr(cli, name)
+            monkeypatch.setattr(cli, name, lambda *a, _fn=fn, **k:
+                                calls.append(_fn.__name__) or _fn(*a, **k))
+        if argv[0] == "decay":
+            argv = argv + ["--N", "8", "--orbits", "16", "--orbit-len", "256",
+                           "--burn-in", "16"]
+        code = main(argv + ["--alpha", "0.2", "--mesh", "256", "--orbit-points", "16",
+                            "--tol", "1e-6", "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert message in capsys.readouterr().err
+        assert calls == []
+        assert not list(tmp_path.glob("out*"))
         assert not list((tmp_path / "cache").glob("density-*.json"))
 
     def test_decay_one_orbit_standard_error_exit2(self, cache_env, tmp_path, capsys):

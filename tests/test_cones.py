@@ -23,6 +23,7 @@ from pmlab import (
     omega_bar_factors,
     omega_factors,
 )
+from pmlab import transfer
 
 
 @pytest.fixture(scope="module")
@@ -163,9 +164,9 @@ class TestC3:
         # |phi'''| x^3 / phi = 0.3 * 1.3 * 2.3 = 0.897 for phi = x^-0.3
         f = GridFunction(mesh25, np.ones(mesh25.size), 0.3)
         ok = ConeParams(a=2.0, b1=0.35, b2=0.6, b3=0.92, b1_bar=0.25, b2_bar=0.3)
-        assert check_C3(f, ok, x_check=1e-4).verdict
+        assert check_C3(f, ok).verdict
         bad = ConeParams(a=2.0, b1=0.35, b2=0.6, b3=0.88, b1_bar=0.25, b2_bar=0.3)
-        rep = check_C3(f, bad, x_check=1e-4)
+        rep = check_C3(f, bad)
         assert not rep.verdict and rep.margins["third_abs"][0] < 0.0
 
     def test_mesh_size_requirement(self):
@@ -280,7 +281,7 @@ def test_report_shape_and_direct_check(cone, p25, rec25, mesh25):
 
     # k = 2 by hand, through a third-order jet whatever the cone needs
     jet = jet_apply(p25, jet_apply(p25, jet_one(p25, mesh25, 3)))
-    njet = jet_apply(p25, jet, branch="left")
+    njet = transfer._jet_images(p25, jet)[1]
     for rep, jt, a_eff in ((reports[2], jet, cp.a), (reports[3], njet, 2.0 * cp.a)):
         f, derivs = jt.levels[0], jt.full_values()
         if cone == "C2":

@@ -45,7 +45,7 @@ class TestBuildMesh:
         m = build_mesh(p, 256, 30, 1e-8)
         xl = 1.0
         for _ in range(30):
-            xl = branch_inverse(p, xl, tol=0.0)
+            xl = branch_inverse(p, xl)
             assert np.min(np.abs(m.nodes - xl)) == 0.0
 
     def test_orbit_bound(self):
@@ -54,7 +54,7 @@ class TestBuildMesh:
         m = build_mesh(p, 256, 100, 1e-10)
         xl = 1.0
         for _ in range(100):
-            xl = branch_inverse(p, xl, tol=0.0)
+            xl = branch_inverse(p, xl)
         assert xl <= 2.0 ** (1 / 0.25 + 1 / 0.5) * 100.0 ** (-2.0)
 
     def test_orbit_clipped_at_x_min(self):

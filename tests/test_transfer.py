@@ -248,8 +248,8 @@ class TestJets:
         f = jet.levels[0]
         assert np.array_equal(l_img.levels[0].values, apply_L(p3, f).values)
         assert np.array_equal(n_img.levels[0].values, apply_N(p3, f).values)
-        for branch, img in (("both", l_img), ("left", n_img)):
-            again = jet_apply(p3, jet, branch)
+        for again, img in ((jet_apply(p3, jet), l_img),
+                           (transfer._jet_images(p3, jet)[1], n_img)):
             assert [lv.s for lv in again.levels] == [lv.s for lv in img.levels]
             assert all(np.array_equal(a.values, b.values)
                        for a, b in zip(again.levels, img.levels))
@@ -261,7 +261,7 @@ class TestPullbackData:
 
     def test_apply_N_matches_direct_evaluation(self, p3, mesh3):
         x = mesh3.nodes
-        g = branch_inverse(p3, x, tol=0.0)
+        g = branch_inverse(p3, x)
         gp = branch_inverse_deriv(p3, x, 1)
         assert np.any(g < mesh3.x_min)  # the constant extension is exercised
         rng = np.random.default_rng(11)
@@ -273,7 +273,7 @@ class TestPullbackData:
     def test_apply_preimage_sum_matches_direct_evaluation(self, p3, mesh3):
         x = mesh3.nodes
         f = GridFunction(mesh3, np.random.default_rng(13).standard_normal(mesh3.size), 0.0)
-        direct = evaluate_u(f, branch_inverse(p3, x, tol=0.0)) + evaluate_u(f, 0.5 * (x + 1.0))
+        direct = evaluate_u(f, branch_inverse(p3, x)) + evaluate_u(f, 0.5 * (x + 1.0))
         assert np.array_equal(apply_preimage_sum(p3, f).values, direct)
 
     def test_jet_level0_is_apply_L_exactly(self, p3, mesh3):
@@ -393,7 +393,7 @@ class TestUlam:
         U = build_ulam(p, part)
         e = U.edges
         m = e.size - 1
-        pre = [(branch_inverse(p, e[j], tol=0.0), branch_inverse(p, e[j + 1], tol=0.0))
+        pre = [(branch_inverse(p, e[j]), branch_inverse(p, e[j + 1]))
                for j in range(m)] + [(0.5 * (e[j] + 1.0), 0.5 * (e[j + 1] + 1.0))
                                      for j in range(m)]
         dense = np.zeros((m, m))
