@@ -137,6 +137,11 @@ def _check_orbits(name, n_orbits, burn_in, min_orbits):
         raise ValueError(f"{name}: burn_in must be >= 0")
 
 
+def _check_lags(N):
+    if N < 8:
+        raise ValueError("correlation_decay: N must be >= 8")
+
+
 # Steps per block of the Monte Carlo lag sums.
 _MC_BLOCK = 64
 
@@ -156,7 +161,7 @@ class CorrelationCurve:
     method: str
     fitted_exponent: float
     exponent_ci: tuple
-    standard_errors: np.ndarray | None = None
+    standard_errors: np.ndarray | None
 
 
 def _fit_decay(values, n_lo, n_hi):
@@ -198,8 +203,7 @@ def correlation_decay(
     may be None.  The decay exponent is fitted on n in [N/4, N].
     """
     psi_o, phi_o = parse_observable(psi), parse_observable(phi)
-    if N < 8:
-        raise ValueError("correlation_decay: N must be >= 8")
+    _check_lags(N)
     if method == "operator":
         if d is None:
             raise ValueError("correlation_decay: the operator method needs a density")

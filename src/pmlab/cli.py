@@ -22,6 +22,7 @@ import concurrent.futures
 import hashlib
 import json
 import math
+import re
 import sys
 from pathlib import Path
 
@@ -29,7 +30,7 @@ import numpy as np
 
 from .maps import MapParams
 from .grid import build_mesh
-from .transfer import ConvergenceError, compute_density
+from .transfer import ConvergenceError, _check_max_iter, compute_density
 from .cache import (
     SCHEMA_VERSION,
     DensityCache,
@@ -39,6 +40,7 @@ from .cache import (
 )
 from .cones import (
     ConeParams,
+    _check_k_max,
     _upper_constants,
     default_cone_params,
     invariance_experiment,
@@ -48,6 +50,8 @@ from .cones import (
 from .response import (
     ResponseDivergenceError,
     _check_fd_eps,
+    _check_K,
+    _endpoint_jump,
     finite_difference_response,
     forward_noise_scale,
     parse_observable,
@@ -55,7 +59,8 @@ from .response import (
     response_series_forward,
     susceptibility,
 )
-from .asymptotics import birkhoff_average, correlation_decay, neutral_orbit
+from .asymptotics import (_check_lags, _check_orbits, birkhoff_average,
+                          correlation_decay, neutral_orbit)
 
 __all__ = ["main"]
 
@@ -77,6 +82,7 @@ def _resolved(args: argparse.Namespace) -> dict:
     for key, value in cfg.items():  # json.load and float() both accept NaN
         if _KWARGS[key].get("type") is float and not math.isfinite(value):
             raise ValueError(f"--{key.replace('_', '-')} must be finite, got {value!r}")
+    _check_max_iter("compute_density", cfg["max_iter"])
     cfg["command"] = args.command
     return cfg
 
@@ -193,6 +199,7 @@ def cmd_response(cfg) -> int:
         what = f"unknown method {unknown[0]!r}" if unknown else "no method"
         raise ValueError(f"response: --methods gives {what}; "
                          f"choose from {','.join(_RESPONSE_METHODS)}")
+    _check_K("response_series", cfg["K"])
     p, rec, _ = _get_density(cfg)
     rec.require_converged()
     obs = parse_observable(cfg["obs"])
@@ -223,6 +230,7 @@ def cmd_validate(cfg) -> int:
     epsilons = [float(e) for e in cfg["eps"].split(",")]  # checked before any work
     for eps in epsilons:
         _check_fd_eps(p.alpha, eps)
+    _check_K("response_series", cfg["K"])
     rec = _get_density(cfg)[1].require_converged()
     obs = parse_observable(cfg["obs"])
     series = response_series(p, rec, obs, cfg["K"], cfg["series_tol"])
@@ -235,12 +243,12 @@ def cmd_validate(cfg) -> int:
     k_fwd = min(cfg["K"], 64)
     fwd = response_series_forward(p, rec, obs, k_fwd)
     rows.append(("series_forward", fwd.value, _rel(fwd.value, series.value)))
-    noise = forward_noise_scale(rec.density.mesh, obs, rec)
+    noise = forward_noise_scale(rec.density.mesh, obs)
     term_dev = max(
         abs(a - b) for a, b in zip(fwd.terms, series.terms[: k_fwd + 1])
     )
     forward_terms_ok = term_dev <= 3.0 * noise
-    if obs.fprime is not None and obs.periodic:
+    if obs.fprime is not None and not _endpoint_jump(obs):
         sus = susceptibility(p, rec, obs, 1.0, cfg["K"])
         rows.append(("susceptibility", sus, _rel(sus, series.value)))
         comparisons["susceptibility"] = _rel(sus, series.value)
@@ -291,6 +299,7 @@ def cmd_cones(cfg) -> int:
                "max": {"omega1": float(np.max(o1)), "omega2": float(np.max(o2)),
                        "omega3": float(np.max(o3))}})
         return 0
+    _check_k_max("default_cone_params", cfg["kmax"])
     rec = _get_density(cfg)[1].require_converged()
     cp = default_cone_params(p, rec, k_max=cfg["kmax"])
     reports = invariance_experiment(p, cfg["cone"], cp, cfg["kmax"], rec)
@@ -313,6 +322,8 @@ def cmd_decay(cfg) -> int:
         raise ValueError("decay: --out prefix is required (writes three files)")
     p = MapParams(cfg["alpha"])
     orbit = neutral_orbit(p, cfg["ell_max"])  # checks --ell-max before any other work
+    _check_lags(cfg["N"])
+    _check_orbits("birkhoff_average", cfg["orbits"], cfg["burn_in"], 1)
     # only the operator method reads the density; the orbit statistics do not
     rec = (_get_density(cfg)[1].require_converged()
            if cfg["method"] == "operator" else None)
@@ -380,6 +391,7 @@ def cmd_sweep(cfg) -> int:
         raise ValueError("sweep: --alphas must give one or more alphas in [0, 1)")
     if cfg["fd_eps"]:  # 0 is off; the largest alpha bounds alpha + eps
         _check_fd_eps(max(alphas), cfg["fd_eps"])
+    _check_K("response_series", cfg["K"])
     # the pool forks all of its processes at the first submit
     workers = min(cfg["workers"], len(alphas))
     if workers > 1:
@@ -459,7 +471,12 @@ _KWARGS = {key: kwargs for key, _, _, kwargs in _OPTIONS}
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse, with usage errors on exit 1 (2 is the gate code here)."""
+    """argparse, with usage errors on exit 1 (2 is the gate code here), that
+    takes negative numbers in exponent notation (``-1e-2``) as values."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
 
     def error(self, message):
         self.exit(1, f"{self.format_usage()}pmlab: error: {message}\n")

@@ -22,7 +22,7 @@ bracket is assembled from the exact chain-rule expansion of (N phi)'''
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -55,12 +55,12 @@ class ConeParams:
     one admissible choice from the data since only existence is known.
     """
 
-    a: float = 2.0
-    b1: float = 1.0
-    b2: float = 21.0
-    b3: float = 100.0
-    b1_bar: float = 1e-3
-    b2_bar: float = 1e-2
+    a: float
+    b1: float
+    b2: float
+    b3: float
+    b1_bar: float
+    b2_bar: float
 
     def __post_init__(self):
         if self.a < 1.0:
@@ -89,10 +89,10 @@ class ConeReport:
     verdict: bool
     worst_margin: float
     worst_node: float
-    margins: dict = field(default_factory=dict)
-    subject: str = ""
-    params: dict = field(default_factory=dict)
-    half_mass_margin: float = math.nan
+    margins: dict
+    subject: str
+    params: dict
+    half_mass_margin: float
 
     def to_dict(self) -> dict:
         return {
@@ -324,6 +324,12 @@ def omega_bar_factors(p: MapParams, y, cp: ConeParams):
 # ---------------------------------------------------------------------------
 
 
+def _check_k_max(name: str, k_max: int) -> None:
+    """``ValueError`` unless k_max >= 1, the iterate count."""
+    if k_max < 1:
+        raise ValueError(f"{name}: k_max must be >= 1")
+
+
 def default_cone_params(
     p: MapParams,
     density: DensityRecord,
@@ -340,8 +346,7 @@ def default_cone_params(
     from sup phi_k / (2 rho m).  Only existence of admissible constants is
     known, so the values are recorded in report metadata, not canonical.
     """
-    if k_max < 1:
-        raise ValueError("default_cone_params: k_max must be >= 1")
+    _check_k_max("default_cone_params", k_max)
     a_par = p.alpha
     mesh = density.density.mesh
     mask, _ = _window(density.density)
@@ -389,8 +394,7 @@ def invariance_experiment(
     each jet L^k(1) gives both N(L^k(1)) and the next iterate L^(k+1)(1).
     Returns the flat list of reports, L-iterate then N-image per k.
     """
-    if k_max < 1:
-        raise ValueError("invariance_experiment: k_max must be >= 1")
+    _check_k_max("invariance_experiment", k_max)
     if cone_id not in _CONES:
         raise ValueError(f"invariance_experiment: unknown cone {cone_id!r}")
     reports = []

@@ -176,13 +176,11 @@ def build_mesh(p: MapParams, n: int, L: int, x_min: float = 1e-10) -> Mesh:
         orbit.append(x)
     orbit_len = len(orbit) - 1  # number of points beyond x_0 = 1
 
+    # every kept orbit point lies above x_min, so the ladder spans > 0 decades
     lo = min(orbit[-1], 0.5)
     decades = math.log10(lo / x_min)
-    if decades > 0:
-        n_geo = max(8, int(math.ceil(_GEO_POINTS_PER_DECADE * decades)) + 1)
-        geo = np.geomspace(x_min, lo, n_geo)
-    else:
-        geo = np.array([x_min])
+    n_geo = max(8, int(math.ceil(_GEO_POINTS_PER_DECADE * decades)) + 1)
+    geo = np.geomspace(x_min, lo, n_geo)
 
     graded = (np.arange(1, n + 1, dtype=float) / n) ** gamma
     graded = graded[graded > x_min]
@@ -593,7 +591,6 @@ def gridfunction_to_dict(f: GridFunction, meta: dict | None = None) -> dict:
     }
 
 
-def gridfunction_from_dict(d: dict, mesh: Mesh | None = None) -> GridFunction:
-    if mesh is None:
-        mesh = mesh_from_dict(d["mesh"])
-    return GridFunction(mesh, np.asarray(d["values"], dtype=float), float(d["s"]))
+def gridfunction_from_dict(d: dict) -> GridFunction:
+    return GridFunction(mesh_from_dict(d["mesh"]), np.asarray(d["values"], dtype=float),
+                        float(d["s"]))

@@ -21,7 +21,7 @@ implementation of the operator derivative M = d_a L.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -50,25 +50,24 @@ class ResponseDivergenceError(ArithmeticError):
 
 @dataclass(frozen=True)
 class Observable:
-    """Bounded observable psi on [0, 1] with optional derivative.
-
-    ``periodic`` records whether psi(0) == psi(1); the susceptibility form
-    integrates (psi o T^k)' pointwise, which is only the distributional
-    derivative when psi matches at the endpoints (the map is continuous as
-    a circle map), so non-periodic observables make that series diverge.
-    """
+    """Bounded observable psi on [0, 1] with optional derivative."""
 
     name: str
     f: Callable
     fprime: Callable | None = None
-    periodic: bool = False
 
     @staticmethod
     def from_gridfunction(g: GridFunction, name: str = "gridfunction") -> "Observable":
-        fv = lambda x: evaluate(g, x)
-        lo = evaluate(g, g.mesh.x_min)
-        hi = evaluate(g, 1.0)
-        return Observable(name=name, f=fv, fprime=None, periodic=abs(hi - lo) < 1e-13)
+        return Observable(name=name, f=lambda x: evaluate(g, x))
+
+
+def _endpoint_jump(obs: Observable) -> float:
+    """psi(1) - psi(0), or 0.0 within 1e-12 (psi periodic).  The susceptibility
+    form integrates (psi o T^k)' pointwise, which is only the distributional
+    derivative when psi matches at the endpoints (the map is continuous as a
+    circle map), so non-periodic observables make that series diverge."""
+    jump = float(obs.f(np.asarray([1.0]))[0] - obs.f(np.asarray([0.0]))[0])
+    return jump if abs(jump) > 1e-12 else 0.0
 
 
 def _monomial(k: int) -> Observable:
@@ -76,7 +75,6 @@ def _monomial(k: int) -> Observable:
         name="x" if k == 1 else f"x^{k}",
         f=lambda x, k=k: np.asarray(x, dtype=float) ** k,
         fprime=lambda x, k=k: k * np.asarray(x, dtype=float) ** (k - 1),
-        periodic=False,
     )
 
 
@@ -86,7 +84,6 @@ def _cosine(m: int) -> Observable:
         name=f"cos{m}" if m != 1 else "cos",
         f=lambda x, w=w: np.cos(w * np.asarray(x, dtype=float)),
         fprime=lambda x, w=w: -w * np.sin(w * np.asarray(x, dtype=float)),
-        periodic=True,
     )
 
 
@@ -94,8 +91,6 @@ def _indicator(a: float, b: float) -> Observable:
     return Observable(
         name=f"ind[{a:g},{b:g}]",
         f=lambda x, a=a, b=b: ((np.asarray(x) >= a) & (np.asarray(x) <= b)).astype(float),
-        fprime=None,
-        periodic=False,
     )
 
 
@@ -108,8 +103,7 @@ def parse_observable(token) -> Observable:
     t = str(token).strip().lower()
     if t in ("const", "1", "one"):
         return Observable("const", f=lambda x: np.ones_like(np.asarray(x, dtype=float)),
-                          fprime=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
-                          periodic=True)
+                          fprime=lambda x: np.zeros_like(np.asarray(x, dtype=float)))
     if t == "x":
         return _monomial(1)
     if t.startswith("x^") or (t.startswith("x") and t[1:].isdigit()):
@@ -144,12 +138,12 @@ class ResponseResult:
     alpha: float
     observable_id: str
     value: float
-    terms: list = field(default_factory=list)
-    k_used: int = 0
-    tail_estimate: float = math.nan
-    method: str = "series_backward"
-    decay_exponent: float = math.nan
-    diverged: bool = False
+    terms: list
+    k_used: int
+    tail_estimate: float
+    method: str
+    decay_exponent: float
+    diverged: bool
 
     def to_dict(self) -> dict:
         return {
@@ -236,7 +230,7 @@ def _fit_tail(terms: np.ndarray):
     return r, tail
 
 
-def _series_result(p, obs_name, terms, k_used, method) -> ResponseResult:
+def _series_result(p, obs_name, terms, method) -> ResponseResult:
     arr = np.asarray(terms)
     r, tail = _fit_tail(arr)
     diverged = bool(math.isinf(tail) if not math.isnan(r) else False)
@@ -245,12 +239,18 @@ def _series_result(p, obs_name, terms, k_used, method) -> ResponseResult:
         observable_id=obs_name,
         value=float(-arr.sum()),
         terms=[float(t) for t in arr],
-        k_used=int(k_used),
+        k_used=len(terms) - 1,
         tail_estimate=float(tail) if not math.isinf(tail) else math.inf,
         method=method,
         decay_exponent=r,
         diverged=diverged,
     )
+
+
+def _check_K(name: str, K: int) -> None:
+    """``ValueError`` unless K >= 1, the last term index of every series."""
+    if K < 1:
+        raise ValueError(f"{name}: K must be >= 1")
 
 
 def response_series(
@@ -265,8 +265,7 @@ def response_series(
     Stops at K terms or once the fitted power-law tail falls below ``tol``;
     the tail estimate goes in the error bar, not the value.
     """
-    if K < 1:
-        raise ValueError("response_series: K must be >= 1")
+    _check_K("response_series", K)
     obs = parse_observable(obs)
     d.require_converged()
     mesh = d.density.mesh
@@ -283,7 +282,7 @@ def response_series(
             _, tail = _fit_tail(np.asarray(terms))
             if not math.isinf(tail) and abs(tail) < tol:
                 break
-    return _series_result(p, obs.name, terms, len(terms) - 1, "series_backward")
+    return _series_result(p, obs.name, terms, "series_backward")
 
 
 def response_series_forward(
@@ -299,8 +298,7 @@ def response_series_forward(
     below the local mesh resolution, so later terms carry an O(sqrt(sum
     h^2)) sampling noise (see ``forward_noise_scale``).
     """
-    if K < 1:
-        raise ValueError("response_series_forward: K must be >= 1")
+    _check_K("response_series_forward", K)
     obs = parse_observable(obs)
     d.require_converged()
     mesh = d.density.mesh
@@ -312,10 +310,10 @@ def response_series_forward(
         terms.append(integrate(GridFunction(mesh, psi_k * y.values, y.s)))
         if k < K:
             orbit = forward(p, orbit)
-    return _series_result(p, obs.name, terms, len(terms) - 1, "series_forward")
+    return _series_result(p, obs.name, terms, "series_forward")
 
 
-def forward_noise_scale(mesh: Mesh, obs, d: DensityRecord) -> float:
+def forward_noise_scale(mesh: Mesh, obs) -> float:
     """Quadrature-noise scale of forward-series terms beyond the resolution
     horizon: std(psi) * sqrt(sum of squared cell widths) (weighted by |Y|_inf
     is pessimistic; this is the practical error-bar unit)."""
@@ -397,13 +395,12 @@ def susceptibility(
     """
     if not abs(z) <= 1.0:
         raise ValueError("susceptibility: need |z| <= 1")
-    if K < 1:
-        raise ValueError("susceptibility: K must be >= 1")
+    _check_K("susceptibility", K)
     obs = parse_observable(obs)
     if obs.fprime is None:
         raise ValueError(f"susceptibility: observable {obs.name!r} has no derivative")
-    jump = float(obs.f(np.asarray([1.0]))[0] - obs.f(np.asarray([0.0]))[0])
-    if abs(jump) > 1e-12:
+    jump = _endpoint_jump(obs)
+    if jump:
         raise ResponseDivergenceError(
             f"susceptibility series for {obs.name!r} diverges like 2^k: "
             f"psi(1) - psi(0) = {jump:.3g} != 0 feeds the branch-boundary jump terms"

@@ -392,6 +392,12 @@ def default_max_iter(alpha: float, tol: float) -> int:
     return int(min(200_000, max(64.0, est)))
 
 
+def _check_max_iter(name: str, max_iter: int | None) -> None:
+    """``ValueError`` unless max_iter is None (the default budget) or >= 1."""
+    if max_iter is not None and max_iter < 1:
+        raise ValueError(f"{name}: max_iter must be >= 1, got {max_iter!r}")
+
+
 def _power_iterate(step, q, u, tol, max_iter):
     """The one stationary-vector loop: u <- step(u) / (q . step(u)) from
     u / (q . u) until the residual q . |u_new - u| is <= tol (a NaN one
@@ -421,10 +427,12 @@ def compute_density(
     Stops when the L1 distance between successive normalized iterates drops
     below ``tol``; if the budget runs out first the record comes back with
     ``converged`` false (callers that need a converged density call
-    ``require_converged()``).  ``ValueError`` unless 0 < tol < inf.
+    ``require_converged()``).  ``ValueError`` unless 0 < tol < inf and
+    max_iter is None or >= 1.
     """
     if not 0.0 < tol < math.inf:
         raise ValueError(f"compute_density: tol must be finite and > 0, got {tol!r}")
+    _check_max_iter("compute_density", max_iter)
     a = p.alpha
     if max_iter is None:
         max_iter = default_max_iter(a, tol)
@@ -496,11 +504,12 @@ def ulam_stationary(
     """Stationary density of the Ulam chain: ``_power_iterate`` on the cell
     masses with step P^T and q = 1 (residual = L1 distance of densities),
     ``ConvergenceError`` if it ends above ``tol``, ``ValueError`` unless
-    0 < tol < inf.  Returns the piecewise-constant density on the partition
-    (node i: mass / width of its cell).
+    0 < tol < inf and max_iter >= 1.  Returns the piecewise-constant density
+    on the partition (node i: mass / width of its cell).
     """
     if not 0.0 < tol < math.inf:
         raise ValueError(f"ulam_stationary: tol must be finite and > 0, got {tol!r}")
+    _check_max_iter("ulam_stationary", max_iter)
     ones = np.ones(U.widths.size)  # q, and the uniform start
     v, iterations, resid = _power_iterate(U.matrix.T.tocsr().dot, ones, ones,
                                           tol, max_iter)

@@ -178,7 +178,7 @@ def test_07_series_duality(store):
     # below the mesh-resolution horizon the nodal pullback is quadrature-
     # accurate; beyond it the terms carry the documented sampling noise
     assert np.max(diffs[:11]) <= 1e-3
-    noise = forward_noise_scale(rec.density.mesh, "x", rec)
+    noise = forward_noise_scale(rec.density.mesh, "x")
     assert np.max(diffs) <= 3.0 * noise
     _report(7, "series duality",
             f"max|t_fwd - t_bwd| = {np.max(diffs):.2e} "

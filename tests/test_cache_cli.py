@@ -267,6 +267,15 @@ class TestCli:
         (["sweep", "--alphas", "0.2,0.5", "--fd-eps", "0.5"], "stay below 1"),
         (["decay", "--method", "montecarlo", "--ell-max", "1"], "ell_max"),
         (["decay", "--method", "operator", "--ell-max", "1"], "ell_max"),
+        (["density", "--max-iter", "0"], "max_iter must be >= 1"),
+        (["validate", "--max-iter", "-1"], "max_iter must be >= 1"),
+        (["response", "--K", "0"], "K must be >= 1"),
+        (["validate", "--K", "0"], "K must be >= 1"),
+        (["sweep", "--alphas", "0.2", "--K", "0"], "K must be >= 1"),
+        (["cones", "--kmax", "0"], "k_max must be >= 1"),
+        (["decay", "--method", "operator", "--N", "4"], "N must be >= 8"),
+        (["decay", "--method", "operator", "--burn-in", "-1"], "burn_in must be >= 0"),
+        (["sweep", "--alphas", "0.2", "--fd-eps", "-1e-2"], "must be > 0"),
     ])
     def test_usage_checked_before_work(self, cache_env, tmp_path, capsys, monkeypatch,
                                        argv, message):
@@ -275,9 +284,9 @@ class TestCli:
             fn = getattr(cli, name)
             monkeypatch.setattr(cli, name, lambda *a, _fn=fn, **k:
                                 calls.append(_fn.__name__) or _fn(*a, **k))
-        if argv[0] == "decay":
-            argv = argv + ["--N", "8", "--orbits", "16", "--orbit-len", "256",
-                           "--burn-in", "16"]
+        if argv[0] == "decay":  # the case's own flags come last and win
+            argv = argv[:1] + ["--N", "8", "--orbits", "16", "--orbit-len", "256",
+                               "--burn-in", "16"] + argv[1:]
         code = main(argv + ["--alpha", "0.2", "--mesh", "256", "--orbit-points", "16",
                             "--tol", "1e-6", "--out", str(tmp_path / "out")])
         assert code == 1
@@ -336,6 +345,32 @@ class TestCli:
         assert code == 0
         sus = json.loads(out.read_text())["results"]["susceptibility"]
         assert "error" not in sus and np.isfinite(sus["value"])
+
+    def test_response_default_methods_nonperiodic_obs(self, cache_env, tmp_path, capsys):
+        out = tmp_path / "r.json"
+        code = main(["response", "--alpha", "0.2", "--mesh", "1024",
+                     "--orbit-points", "40", "--x-min", "1e-7", "--obs", "x",
+                     "--K", "32", "--format", "json", "--out", str(out)])
+        assert code == 0
+        results = json.loads(out.read_text())["results"]
+        assert np.isfinite(results["forward"]["value"])
+        assert "diverges like 2^k" in results["susceptibility"]["error"]
+
+    def test_validate_periodic_obs_has_susceptibility_row(self, cache_env, tmp_path,
+                                                         capsys):
+        out = tmp_path / "v.csv"
+        code = main(["validate", "--alpha", "0.25", "--mesh", "2048",
+                     "--orbit-points", "60", "--x-min", "1e-7", "--tol", "1e-9",
+                     "--obs", "cos", "--K", "300", "--eps", "1e-2", "--gate", "0.03",
+                     "--out", str(out)])
+        assert code == 0
+        rows = {r.split(",")[0]: r.split(",")[1:]
+                for r in out.read_text().splitlines()[2:]}
+        value, rel = (float(v) for v in rows["susceptibility"])
+        assert np.isfinite(value) and rel <= 0.03
+
+    def test_negative_exponent_values_parse(self):
+        assert cli.build_parser().parse_args(["response", "--z", "-1e-1"]).z == -0.1
 
     def test_sweep_own_density_not_converged_exit2(self, cache_env, tmp_path, capsys):
         out = tmp_path / "s.csv"

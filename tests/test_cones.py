@@ -48,11 +48,16 @@ CP_POWER = ConeParams(a=2.0, b1=0.35, b2=0.6, b3=1.0, b1_bar=0.25, b2_bar=0.3)
 class TestConeParams:
     def test_validation(self):
         with pytest.raises(ValueError):
+            ConeParams(a=0.5, b1=1.0, b2=21.0, b3=100.0, b1_bar=1e-3, b2_bar=1e-2)
+        with pytest.raises(ValueError):
+            ConeParams(a=2.0, b1=2.0, b2=1.0, b3=100.0, b1_bar=1e-3, b2_bar=1e-2)
+        with pytest.raises(ValueError):
+            ConeParams(a=2.0, b1=1.0, b2=21.0, b3=100.0, b1_bar=0.0, b2_bar=1e-2)
+
+    def test_all_constants_required(self):
+        # no default fits the regime b1 >= alpha + 1 at every alpha
+        with pytest.raises(TypeError):
             ConeParams(a=0.5)
-        with pytest.raises(ValueError):
-            ConeParams(b1=2.0, b2=1.0)
-        with pytest.raises(ValueError):
-            ConeParams(b1_bar=0.0)
 
 
 class TestC2:

@@ -28,6 +28,7 @@ from pmlab import (
 )
 from pmlab.maps import X
 from pmlab.response import (
+    _endpoint_jump,
     _zero_mean_source,
     forward_noise_scale,
     susceptibility_terms_orbitwise,
@@ -58,11 +59,18 @@ class TestObservables:
         assert parse_observable("x").name == "x"
         assert parse_observable("x^3").name == "x^3"
         assert parse_observable("x2").name == "x^2"
-        assert parse_observable("cos").periodic
+        assert _endpoint_jump(parse_observable("cos")) == 0.0
         assert parse_observable("cos2").name == "cos2"
         ind = parse_observable("ind:0.25:0.75")
         assert ind.fprime is None
         assert ind.f(np.array([0.5, 0.9])).tolist() == [1.0, 0.0]
+
+    def test_endpoint_jump(self):
+        # the one periodicity rule: |psi(1) - psi(0)| <= 1e-12
+        for name in ("const", "cos3"):
+            assert _endpoint_jump(parse_observable(name)) == 0.0
+        for name in ("x", "x^2", "ind:0.5:1"):
+            assert _endpoint_jump(parse_observable(name)) == 1.0
 
     def test_parse_rejects(self):
         for bad in ("x^9", "cos0", "ind:0.5", "nope"):
@@ -205,7 +213,7 @@ class TestForwardSeries:
     def test_duality_within_noise_model(self, p25, rec25):
         bwd = response_series(p25, rec25, "x", K=60, tol=1e-14)
         fwd = response_series_forward(p25, rec25, "x", K=60)
-        noise = forward_noise_scale(rec25.density.mesh, "x", rec25)
+        noise = forward_noise_scale(rec25.density.mesh, "x")
         diffs = np.abs(np.asarray(bwd.terms[:61]) - np.asarray(fwd.terms))
         assert np.max(diffs) < 3.0 * noise
 
@@ -288,6 +296,11 @@ class TestFiniteDifference:
         mesh = build_mesh(p25, 256, 40, 1e-5)
         with pytest.raises(ValueError, match="tol must be finite"):
             finite_difference_response(p25, "x", 1e-2, mesh, tol=tol)
+
+    def test_max_iter_must_be_positive(self, p25):
+        mesh = build_mesh(p25, 256, 40, 1e-5)
+        with pytest.raises(ValueError, match="max_iter must be >= 1"):
+            finite_difference_response(p25, "x", 1e-2, mesh, max_iter=0)
 
     def test_eps_domain(self, p25, rec25):
         with pytest.raises(ValueError):

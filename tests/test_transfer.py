@@ -364,6 +364,12 @@ class TestComputeDensity:
         with pytest.raises(ValueError, match="tol must be finite and > 0"):
             compute_density(p3, mesh, tol=tol)
 
+    @pytest.mark.parametrize("max_iter", [0, -1])
+    def test_max_iter_must_be_positive(self, p3, max_iter):
+        mesh = build_mesh(p3, 256, 40, 1e-5)
+        with pytest.raises(ValueError, match="max_iter must be >= 1"):
+            compute_density(p3, mesh, max_iter=max_iter)
+
     def test_polynomial_rate(self, p3, mesh3):
         # ||f_k - rho||_1 consistent with k^(1 - 1/alpha) up to log factors
         ref = compute_density(p3, mesh3, tol=1e-11, max_iter=30000)
@@ -437,6 +443,12 @@ class TestUlam:
         U = build_ulam(p3, build_mesh(p3, 256, 40, 1e-5))
         with pytest.raises(ValueError, match="tol must be finite and > 0"):
             ulam_stationary(U, tol=tol)
+
+    @pytest.mark.parametrize("max_iter", [0, -1])
+    def test_stationary_max_iter_must_be_positive(self, p3, max_iter):
+        U = build_ulam(p3, build_mesh(p3, 256, 40, 1e-5))
+        with pytest.raises(ValueError, match="max_iter must be >= 1"):
+            ulam_stationary(U, max_iter=max_iter)
 
     def test_stationary_mean_matches_grid(self, p3, rec3):
         part = build_mesh(p3, 2048, 60, 1e-5)
