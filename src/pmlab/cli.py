@@ -200,9 +200,9 @@ def cmd_response(cfg) -> int:
         raise ValueError(f"response: --methods gives {what}; "
                          f"choose from {','.join(_RESPONSE_METHODS)}")
     _check_K("response_series", cfg["K"])
+    obs = parse_observable(cfg["obs"])
     p, rec, _ = _get_density(cfg)
     rec.require_converged()
-    obs = parse_observable(cfg["obs"])
     results = {}
     if "backward" in methods:
         results["backward"] = response_series(p, rec, obs, cfg["K"], cfg["series_tol"]).to_dict()
@@ -231,8 +231,8 @@ def cmd_validate(cfg) -> int:
     for eps in epsilons:
         _check_fd_eps(p.alpha, eps)
     _check_K("response_series", cfg["K"])
-    rec = _get_density(cfg)[1].require_converged()
     obs = parse_observable(cfg["obs"])
+    rec = _get_density(cfg)[1].require_converged()
     series = response_series(p, rec, obs, cfg["K"], cfg["series_tol"])
     rows = [("series_backward", series.value, math.nan)]
     comparisons = {}
@@ -324,15 +324,16 @@ def cmd_decay(cfg) -> int:
     orbit = neutral_orbit(p, cfg["ell_max"])  # checks --ell-max before any other work
     _check_lags(cfg["N"])
     _check_orbits("birkhoff_average", cfg["orbits"], cfg["burn_in"], 1)
+    psi, phi = parse_observable(cfg["psi"]), parse_observable(cfg["phi"])
     # only the operator method reads the density; the orbit statistics do not
     rec = (_get_density(cfg)[1].require_converged()
            if cfg["method"] == "operator" else None)
     curve = correlation_decay(
-        p, rec, cfg["psi"], cfg["phi"], cfg["N"], method=cfg["method"],
+        p, rec, psi, phi, cfg["N"], method=cfg["method"],
         n_orbits=cfg["orbits"], orbit_len=cfg["orbit_len"],
         burn_in=cfg["burn_in"], seed=cfg["seed"],
     )
-    mean, se = birkhoff_average(p, cfg["psi"], cfg["orbits"],
+    mean, se = birkhoff_average(p, psi, cfg["orbits"],
                                 max(cfg["orbit_len"], 2 * cfg["burn_in"] + 8),
                                 cfg["burn_in"], cfg["seed"])
     if not math.isfinite(se):
@@ -355,7 +356,7 @@ def cmd_decay(cfg) -> int:
             "upper_ok": orbit.upper_ok, "upper_margin": orbit.upper_margin,
             "lower_c": orbit.lower_c,
         },
-        "birkhoff": {"observable": parse_observable(cfg["psi"]).name,
+        "birkhoff": {"observable": psi.name,
                      "mean": mean, "standard_error": se,
                      "seed": cfg["seed"]},
     })
@@ -392,6 +393,7 @@ def cmd_sweep(cfg) -> int:
     if cfg["fd_eps"]:  # 0 is off; the largest alpha bounds alpha + eps
         _check_fd_eps(max(alphas), cfg["fd_eps"])
     _check_K("response_series", cfg["K"])
+    parse_observable(cfg["obs"])  # checked here; the pool gets the name, which pickles
     # the pool forks all of its processes at the first submit
     workers = min(cfg["workers"], len(alphas))
     if workers > 1:

@@ -8,9 +8,11 @@ Differentiation uses the product rule with nonuniform stencils on u; the
 3-point weights of ``differentiate`` and the 5-point ones of
 ``derivatives_full`` both come from ``fd_weights``.
 Point evaluation uses monotone piecewise-cubic (PCHIP) interpolation of u:
-a CSR matrix of cubic Hermite weights of the query points
-(``hermite_weights``) acts on the stacked nodal values and PCHIP slopes
-[u; d] (``hermite_stack``), so that fixed query points pay for it once.
+the cubic Hermite weights of the query points (``hermite_weights``) act on
+the stacked nodal values and PCHIP slopes [u; d] (``hermite_stack``), so
+that fixed query points pay for them once.  Meshes below ``_CSR_MIN_NODES``
+nodes apply them as a numpy gather and never load scipy; larger ones as a
+CSR matrix, with the same bits.
 
 Everything that depends only on the mesh (cell widths, x^(-s) moments and
 quadrature vectors, PCHIP and stencil weights, and the per-alpha pullback
@@ -355,38 +357,65 @@ def hermite_stack(mesh: Mesh, u: np.ndarray, out: np.ndarray | None = None) -> n
     return ud
 
 
-def _hermite_cells(mesh: Mesh, xq: np.ndarray):
-    """Left node index i of each point's cell (i, i+1) and its four cubic
-    Hermite weights on u[i], d[i], u[i+1], d[i+1].  Points below x_min are
-    clipped to it, where the weights are (1, 0, 0, 0)."""
-    x = mesh.nodes
-    idx = np.clip(np.searchsorted(x, xq, side="right") - 1, 0, x.size - 2)
-    x0 = x[idx]
-    hh = x[idx + 1] - x0
-    t = (np.clip(xq, x[0], 1.0) - x0) / hh
-    t2 = t * t
-    t3 = t2 * t
-    return idx, (2.0 * t3 - 3.0 * t2 + 1.0, hh * (t3 - 2.0 * t2 + t), 3.0 * t2 - 2.0 * t3,
-                 hh * (t3 - t2))
+# Below this many mesh nodes ``hermite_weights`` returns a numpy gather, at
+# and above it a scipy CSR matrix.  Importing scipy.sparse adds 0.13-0.22 s
+# and 16-22 MB of peak RSS to a fresh process; the gather's ``@`` takes
+# 1.8-2.4x the time of the compiled CSR matvec, and a whole L step
+# 1.4-1.5x, at 4k-33k nodes (2-core host, numpy 2.4, scipy 1.17).  So the
+# CLI's default meshes (4105-4264 nodes), whose processes are short, skip
+# the import, and the long power iterations on meshes of 7706 nodes and
+# more keep the CSR matvec.
+_CSR_MIN_NODES = 6144
 
 
-def hermite_weights(mesh: Mesh, xq) -> "scipy.sparse.csr_matrix":
-    """PCHIP evaluation at the 1-d points xq as a CSR matrix: P @ [u; d].
+class _HermiteGather:
+    """Cubic Hermite evaluation at the 1-d points xq as a gather: G @ [u; d].
 
-    Row k holds the cubic Hermite weights of xq[k] in its cell (i, i+1) in
-    the order u[i], d[i], u[i+1], d[i+1], unsorted and unsummed, so the
-    matvec adds the terms in that order.  Points below x_min get the
-    constant extension of u.
+    Each point has the left node index i of its cell (i, i+1) and four
+    weights on u[i], d[i], u[i+1], d[i+1].  ``@`` adds the four products in
+    that order to a zero start, as the CSR matvec adds a ``hermite_weights``
+    row, so both give the same bits.  Points below x_min are clipped to it,
+    where the weights are (1, 0, 0, 0).
     """
-    # imported here, not at module level: a process that builds no operator
-    # never loads scipy
+
+    def __init__(self, mesh: Mesh, xq: np.ndarray):
+        x, n = mesh.nodes, mesh.size
+        idx = np.clip(np.searchsorted(x, xq, side="right") - 1, 0, n - 2)
+        x0 = x[idx]
+        hh = x[idx + 1] - x0
+        t = (np.clip(xq, x[0], 1.0) - x0) / hh
+        t2 = t * t
+        t3 = t2 * t
+        self.cols = _frozen(idx, idx + n, idx + 1, idx + 1 + n)
+        self.weights = _frozen(2.0 * t3 - 3.0 * t2 + 1.0, hh * (t3 - 2.0 * t2 + t),
+                               3.0 * t2 - 2.0 * t3, hh * (t3 - t2))
+
+    def __matmul__(self, ud: np.ndarray) -> np.ndarray:
+        out = np.zeros(self.cols[0].size)
+        for c, w in zip(self.cols, self.weights):
+            out += w * ud[c]
+        return out
+
+
+def hermite_weights(mesh: Mesh, xq):
+    """PCHIP evaluation at the 1-d points xq as an operator P: P @ [u; d].
+
+    Below ``_CSR_MIN_NODES`` mesh nodes P is a ``_HermiteGather``; from
+    there on it is a CSR matrix whose row k holds the four weights of xq[k]
+    in the gather's order, unsorted and unsummed, so the two give the same
+    bits.  Points below x_min get the constant extension of u.
+    """
+    G = _HermiteGather(mesh, np.asarray(xq, dtype=float))
+    if mesh.size < _CSR_MIN_NODES:
+        return G
+    # imported here, not at module level: a process that builds only small
+    # operators never loads scipy
     import scipy.sparse as sp
 
-    n = mesh.size
-    idx, w = _hermite_cells(mesh, np.asarray(xq, dtype=float))
-    cols = np.stack((idx, idx + n, idx + 1, idx + 1 + n), axis=1, dtype=np.int32).ravel()
-    P = sp.csr_matrix((np.stack(w, axis=1).ravel(), cols,
-                       np.arange(0, cols.size + 1, 4, dtype=np.int32)), shape=(idx.size, 2 * n))
+    cols = np.stack(G.cols, axis=1, dtype=np.int32).ravel()
+    P = sp.csr_matrix((np.stack(G.weights, axis=1).ravel(), cols,
+                       np.arange(0, cols.size + 1, 4, dtype=np.int32)),
+                      shape=(G.cols[0].size, 2 * mesh.size))
     _frozen(P.data, P.indices, P.indptr)
     return P
 
@@ -394,19 +423,12 @@ def hermite_weights(mesh: Mesh, xq) -> "scipy.sparse.csr_matrix":
 def evaluate_u(f: GridFunction, xq):
     """Interpolate the regular factor u at xq; constant below x_min.
 
-    The terms are added in the order of a ``hermite_weights`` row, so the
-    result equals that matrix's matvec without building it.
+    The same ``_HermiteGather`` that small meshes use for their pullbacks,
+    so the result equals the ``hermite_weights`` matvec bit for bit.
     """
     xq = np.asarray(xq, dtype=float)
-    n = f.mesh.size
-    idx, (w0, w1, w2, w3) = _hermite_cells(f.mesh, xq.ravel())
-    ud = hermite_stack(f.mesh, f.values)
-    u, d = ud[:n], ud[n:]
-    out = w0 * u[idx]
-    out += w1 * d[idx]
-    out += w2 * u[idx + 1]
-    out += w3 * d[idx + 1]
-    return out.reshape(xq.shape)
+    G = _HermiteGather(f.mesh, xq.ravel())
+    return (G @ hermite_stack(f.mesh, f.values)).reshape(xq.shape)
 
 
 def evaluate(f: GridFunction, x):

@@ -22,11 +22,13 @@ an independent discretization of the same operator, and
 
 ``_pullback`` is the one pullback kernel, called by ``apply_L``,
 ``apply_N``, ``apply_preimage_sum`` and ``_jet_images``: for f = x^(-s) u
-it reads [u; PCHIP slopes] at g(x_i) and (x_i + 1)/2 through CSR matrices
-P_g, P_r (n x 2n, one ``Mesh.cached`` entry per alpha beside g and its
-x-derivatives) and applies the ratios (x/g)^s, (x/r)^s (cached per
-(alpha, s)).  ``_step``, u -> L(x^(-s) u) or A on raw nodal arrays with a
-reused [u; d] buffer, is the step of every L^k loop.  ``_jet_images`` reads
+it reads [u; PCHIP slopes] at g(x_i) and (x_i + 1)/2 through the n x 2n
+Hermite operators P_g, P_r of ``hermite_weights`` (a numpy gather below
+``grid._CSR_MIN_NODES`` nodes, a CSR matrix from there on; one
+``Mesh.cached`` entry per alpha beside g and its x-derivatives) and applies
+the ratios (x/g)^s, (x/r)^s (cached per (alpha, s)).  ``_step``,
+u -> L(x^(-s) u) or A on raw nodal arrays with a reused [u; d] buffer, is
+the step of every L^k loop.  ``_jet_images`` reads
 a jet once for both images, N and L = N + the affine-branch term (``jet_apply``
 returns L), so the cone experiment reads each iterate L^k(1) once.
 """
@@ -128,7 +130,7 @@ def _pullback_data(p: MapParams, mesh: Mesh) -> dict:
     """Pullback data of both branches on a fixed mesh, built once per alpha.
 
     ``g`` holds g and its first four x-derivatives at the nodes, ``Pg`` and
-    ``Pr`` the PCHIP interpolation matrices (``hermite_weights``) of the
+    ``Pr`` the PCHIP interpolation operators (``hermite_weights``) of the
     pullback points g(x) and r(x) = (x+1)/2.  The entry lives in the mesh's
     cache, so it is freed with the mesh.
     """
@@ -392,9 +394,12 @@ def default_max_iter(alpha: float, tol: float) -> int:
     return int(min(200_000, max(64.0, est)))
 
 
-def _check_max_iter(name: str, max_iter: int | None) -> None:
-    """``ValueError`` unless max_iter is None (the default budget) or >= 1."""
-    if max_iter is not None and max_iter < 1:
+def _check_max_iter(name: str, max_iter: int | None, none_ok: bool = True) -> None:
+    """``ValueError`` unless max_iter >= 1, or is None (the default budget)
+    where ``none_ok``."""
+    if max_iter is None and none_ok:
+        return
+    if max_iter is None or max_iter < 1:
         raise ValueError(f"{name}: max_iter must be >= 1, got {max_iter!r}")
 
 
@@ -475,8 +480,8 @@ def build_ulam(p: MapParams, partition: Mesh) -> UlamOperator:
     on the right.  One ``searchsorted`` brackets all interval endpoints, and
     each interval expands into the cells it meets with positive overlap.
     """
-    # imported here, not at module level: a process that builds no operator
-    # never loads scipy
+    # imported here, not at module level: a process that builds no Ulam
+    # matrix and no large pullback operator never loads scipy
     import scipy.sparse as sp
 
     edges = np.concatenate([[0.0], partition.nodes])
@@ -509,7 +514,7 @@ def ulam_stationary(
     """
     if not 0.0 < tol < math.inf:
         raise ValueError(f"ulam_stationary: tol must be finite and > 0, got {tol!r}")
-    _check_max_iter("ulam_stationary", max_iter)
+    _check_max_iter("ulam_stationary", max_iter, none_ok=False)
     ones = np.ones(U.widths.size)  # q, and the uniform start
     v, iterations, resid = _power_iterate(U.matrix.T.tocsr().dot, ones, ones,
                                           tol, max_iter)

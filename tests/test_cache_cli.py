@@ -276,6 +276,10 @@ class TestCli:
         (["decay", "--method", "operator", "--N", "4"], "N must be >= 8"),
         (["decay", "--method", "operator", "--burn-in", "-1"], "burn_in must be >= 0"),
         (["sweep", "--alphas", "0.2", "--fd-eps", "-1e-2"], "must be > 0"),
+        (["response", "--obs", "bogus"], "unknown observable 'bogus'"),
+        (["validate", "--obs", "bogus"], "unknown observable 'bogus'"),
+        (["sweep", "--alphas", "0.2", "--obs", "bogus"], "unknown observable 'bogus'"),
+        (["decay", "--method", "operator", "--psi", "bogus"], "unknown observable 'bogus'"),
     ])
     def test_usage_checked_before_work(self, cache_env, tmp_path, capsys, monkeypatch,
                                        argv, message):

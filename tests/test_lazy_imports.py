@@ -1,9 +1,12 @@
-"""scipy loads only when a sparse operator is built.
+"""scipy loads only when a large operator is built.
 
 Importing pmlab, its CLI and the orbit statistics (Monte Carlo decay,
-Birkhoff means, the neutral orbit) must not import scipy; the first
-operator assembly must.  The pytest process has scipy loaded already, so
-each check runs in a fresh interpreter.
+Birkhoff means, the neutral orbit) must not import scipy, and neither may
+operators on meshes below ``grid._CSR_MIN_NODES`` nodes, whose pullbacks
+are numpy gathers: the CLI commands at their default mesh among them.  The
+first pullback on a larger mesh loads ``scipy.sparse`` for its CSR matrix.
+The pytest process has scipy loaded already, so each check runs in a fresh
+interpreter.
 """
 
 import json
@@ -11,6 +14,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import pmlab
 
@@ -42,8 +47,25 @@ def test_montecarlo_decay_loads_no_scipy(tmp_path):
         ["mc_corr.csv", "mc_orbit.csv", "mc_stats.json"]
 
 
-def test_density_solve_loads_scipy_sparse(tmp_path):
+def test_density_solve_loads_scipy_sparse_only_from_csr_size(tmp_path):
     code = ("from pmlab import MapParams, build_mesh, compute_density\n"
+            "from pmlab.grid import _CSR_MIN_NODES\n"
             "p = MapParams(0.3)\n"
-            "compute_density(p, build_mesh(p, 256, 16, 1e-5), tol=1e-6)")
-    assert "scipy.sparse" in _scipy_modules_after(code, tmp_path)
+            "mesh = build_mesh(p, {n}, 16, 1e-5)\n"
+            "assert (mesh.size >= _CSR_MIN_NODES) == {csr}\n"
+            "compute_density(p, mesh, tol=1e-6, max_iter=4)")
+    assert _scipy_modules_after(code.format(n=256, csr=False), tmp_path) == []
+    assert "scipy.sparse" in _scipy_modules_after(code.format(n=8192, csr=True), tmp_path)
+
+
+@pytest.mark.parametrize("argv", [
+    ["density", "--alpha", "0.25"],
+    ["response", "--alpha", "0.15", "--obs", "x", "--format", "json"],
+    ["validate", "--alpha", "0.2", "--obs", "cos", "--eps", "5e-3"],
+    ["cones", "--alpha", "0.3", "--cone", "C2", "--kmax", "20"],
+    ["sweep", "--alphas", "0.05,0.08,0.1,0.12", "--obs", "x"],
+], ids=lambda argv: argv[0])
+def test_cli_default_mesh_loads_no_scipy(tmp_path, argv):
+    code = f"from pmlab.cli import main\nassert main({argv + ['--out', 'out']!r}) == 0"
+    assert _scipy_modules_after(code, tmp_path) == []
+    assert (tmp_path / "out").exists()

@@ -33,9 +33,10 @@ from pmlab import (
     ulam_mean,
     ulam_stationary,
 )
-from pmlab.grid import evaluate_u
+from pmlab.grid import (_CSR_MIN_NODES, _HermiteGather, evaluate_u, hermite_stack,
+                        hermite_weights)
 from pmlab.maps import forward
-from pmlab.transfer import default_max_iter, ulam_l1_distance
+from pmlab.transfer import _pullback_data, default_max_iter, ulam_l1_distance
 
 
 @pytest.fixture(scope="module")
@@ -255,26 +256,52 @@ class TestJets:
                        for a, b in zip(again.levels, img.levels))
 
 
+@pytest.fixture(scope="module")
+def mesh_csr(p3):
+    """A mesh large enough for CSR pullbacks (mesh3 reads them by gather)."""
+    return build_mesh(p3, 8192, 100, 1e-6)
+
+
 class TestPullbackData:
     """The per-(alpha, mesh) pullback data reproduces the direct formulas
-    bit for bit and is freed with its mesh."""
+    bit for bit, with either representation, and is freed with its mesh."""
 
-    def test_apply_N_matches_direct_evaluation(self, p3, mesh3):
-        x = mesh3.nodes
-        g = branch_inverse(p3, x)
-        gp = branch_inverse_deriv(p3, x, 1)
-        assert np.any(g < mesh3.x_min)  # the constant extension is exercised
+    def test_representation_follows_mesh_size(self, p3, mesh3, mesh_csr):
+        assert mesh3.size < _CSR_MIN_NODES <= mesh_csr.size
+        assert isinstance(_pullback_data(p3, mesh3)["Pg"], _HermiteGather)
+        assert _pullback_data(p3, mesh_csr)["Pg"].format == "csr"
+
+    def test_apply_N_matches_direct_evaluation(self, p3, mesh3, mesh_csr):
         rng = np.random.default_rng(11)
-        for s in (0.0, p3.alpha):
-            f = GridFunction(mesh3, rng.standard_normal(mesh3.size), s)
-            direct = evaluate_u(f, g) * np.exp(s * (np.log(x) - np.log(g))) * gp
-            assert np.array_equal(apply_N(p3, f).values, direct)
+        for mesh in (mesh3, mesh_csr):
+            x = mesh.nodes
+            g = branch_inverse(p3, x)
+            gp = branch_inverse_deriv(p3, x, 1)
+            assert np.any(g < mesh.x_min)  # the constant extension is exercised
+            for s in (0.0, p3.alpha):
+                f = GridFunction(mesh, rng.standard_normal(mesh.size), s)
+                direct = evaluate_u(f, g) * np.exp(s * (np.log(x) - np.log(g))) * gp
+                assert np.array_equal(apply_N(p3, f).values, direct)
 
-    def test_apply_preimage_sum_matches_direct_evaluation(self, p3, mesh3):
-        x = mesh3.nodes
-        f = GridFunction(mesh3, np.random.default_rng(13).standard_normal(mesh3.size), 0.0)
-        direct = evaluate_u(f, branch_inverse(p3, x)) + evaluate_u(f, 0.5 * (x + 1.0))
-        assert np.array_equal(apply_preimage_sum(p3, f).values, direct)
+    def test_apply_preimage_sum_matches_direct_evaluation(self, p3, mesh3, mesh_csr):
+        rng = np.random.default_rng(13)
+        for mesh in (mesh3, mesh_csr):
+            x = mesh.nodes
+            f = GridFunction(mesh, rng.standard_normal(mesh.size), 0.0)
+            direct = evaluate_u(f, branch_inverse(p3, x)) + evaluate_u(f, 0.5 * (x + 1.0))
+            assert np.array_equal(apply_preimage_sum(p3, f).values, direct)
+
+    def test_gather_equals_csr_matvec_bitwise(self, p3, mesh_csr):
+        x, n = mesh_csr.nodes, mesh_csr.size
+        xq = np.concatenate([branch_inverse(p3, x), 0.5 * (x + 1.0), [0.5 * mesh_csr.x_min]])
+        P, G = hermite_weights(mesh_csr, xq), _HermiteGather(mesh_csr, xq)
+        assert P.format == "csr"
+        rng = np.random.default_rng(14)
+        # the last [u; d] makes every product -0.0: both sums start at +0.0
+        for ud in (hermite_stack(mesh_csr, rng.standard_normal(n)),
+                   hermite_stack(mesh_csr, -np.abs(rng.standard_normal(n))),
+                   np.full(2 * n, -0.0)):
+            assert (G @ ud).tobytes() == (P @ ud).tobytes()
 
     def test_jet_level0_is_apply_L_exactly(self, p3, mesh3):
         rng = np.random.default_rng(12)
@@ -444,7 +471,7 @@ class TestUlam:
         with pytest.raises(ValueError, match="tol must be finite and > 0"):
             ulam_stationary(U, tol=tol)
 
-    @pytest.mark.parametrize("max_iter", [0, -1])
+    @pytest.mark.parametrize("max_iter", [0, -1, None])
     def test_stationary_max_iter_must_be_positive(self, p3, max_iter):
         U = build_ulam(p3, build_mesh(p3, 256, 40, 1e-5))
         with pytest.raises(ValueError, match="max_iter must be >= 1"):
