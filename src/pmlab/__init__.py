@@ -11,14 +11,11 @@ from .maps import (
     forward,
     forward_deriv,
     branch_inverse,
-    branch_inverse_deriv,
     X,
     X_prime,
     X_double_prime,
-    dalpha_g,
     dalpha_X,
     dalpha_X_prime,
-    dalpha_X_double_prime,
 )
 from .grid import (
     Mesh,
@@ -47,7 +44,6 @@ from .transfer import (
     ulam_mean,
     jet_one,
     jet_apply,
-    jet_from_density,
 )
 from .cones import (
     ConeParams,

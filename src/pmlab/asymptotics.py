@@ -232,14 +232,14 @@ def correlation_decay(
         raise ValueError("correlation_decay: method must be 'operator' or 'montecarlo'")
 
     _check_orbits("correlation_decay", n_orbits, burn_in, 2)
-    rng = np.random.default_rng(seed)
-    xs = rng.uniform(0.0, 1.0, n_orbits)
-    for _ in range(burn_in):
-        xs = _mc_step(p, xs, rng)
     lags = N
     steps = orbit_len - burn_in
     if steps <= lags + 8:
         raise ValueError("correlation_decay: orbit_len too short after burn-in")
+    rng = np.random.default_rng(seed)
+    xs = rng.uniform(0.0, 1.0, n_orbits)
+    for _ in range(burn_in):
+        xs = _mc_step(p, xs, rng)
     # sums[n] accumulates psi_t phi_(t-n) one block of steps at a time.
     # Rows [lags, lags + nb) of hist hold the block's phi and rows [0, lags)
     # the phi of the lags steps before it (zeros before the first step, so

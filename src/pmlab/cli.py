@@ -51,6 +51,7 @@ from .response import (
     ResponseDivergenceError,
     _check_fd_eps,
     _check_K,
+    _check_z,
     _endpoint_jump,
     finite_difference_response,
     forward_noise_scale,
@@ -200,6 +201,7 @@ def cmd_response(cfg) -> int:
         raise ValueError(f"response: --methods gives {what}; "
                          f"choose from {','.join(_RESPONSE_METHODS)}")
     _check_K("response_series", cfg["K"])
+    _check_z(cfg["z"])
     obs = parse_observable(cfg["obs"])
     p, rec, _ = _get_density(cfg)
     rec.require_converged()
@@ -321,6 +323,7 @@ def cmd_decay(cfg) -> int:
     if prefix is None:
         raise ValueError("decay: --out prefix is required (writes three files)")
     p = MapParams(cfg["alpha"])
+    np.random.SeedSequence(cfg["seed"])  # numpy's own check of --seed
     orbit = neutral_orbit(p, cfg["ell_max"])  # checks --ell-max before any other work
     _check_lags(cfg["N"])
     _check_orbits("birkhoff_average", cfg["orbits"], cfg["burn_in"], 1)

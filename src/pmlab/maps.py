@@ -7,7 +7,8 @@ The family is T_a(x) = x*(1 + 2^a * x^a) on [0, 1/2) and T_a(x) = 2x - 1 on
 Everything here is a pure closed-form (or safeguarded-Newton) evaluation:
 
 * the map ``forward`` and its x-derivatives ``forward_deriv``,
-* the left-branch inverse g = ``branch_inverse`` and its derivatives,
+* the left-branch inverse g = ``branch_inverse`` and its derivatives
+  (``_g_chain``),
 * the perturbation field X(x) = v(g(x)) with v = dT/da, together with its
   x-derivatives ``X_prime``, ``X_double_prime`` and a-derivatives
   ``dalpha_X`` etc., all obtained by the chain rule through g.
@@ -26,14 +27,11 @@ __all__ = [
     "forward",
     "forward_deriv",
     "branch_inverse",
-    "branch_inverse_deriv",
     "X",
     "X_prime",
     "X_double_prime",
-    "dalpha_g",
     "dalpha_X",
     "dalpha_X_prime",
-    "dalpha_X_double_prime",
 ]
 
 
@@ -226,22 +224,6 @@ def _g_chain(p: MapParams, y, order: int):
     return res
 
 
-def branch_inverse_deriv(p: MapParams, y, order: int = 1):
-    """Derivatives of the branch inverse via inverse-function identities.
-
-    g' = 1/T'(g), g'' = -T''(g) g'^3, g''' = 3 T''(g)^2 g'^5 - T'''(g) g'^4.
-    """
-    if order not in (1, 2, 3):
-        raise ValueError("branch_inverse_deriv: order must be 1..3")
-    ya, scalar = _as_array(y)
-    if not np.all((ya >= 0.0) & (ya <= 1.0)):
-        raise ValueError("branch_inverse_deriv: y outside [0, 1]")
-    if order >= 2 and p.alpha > 0.0 and np.any(ya <= 0.0):
-        raise ValueError("branch_inverse_deriv: y must be > 0 for order >= 2")
-    out = _g_chain(p, ya, order)[order]
-    return _ret(out, scalar)
-
-
 # ---------------------------------------------------------------------------
 # The parameter-velocity field v(y) = dT/da on the left branch and its
 # derivatives.  v(y) = 2^a y^(1+a) log(2y); primes are d/dy, "dv" is d/da
@@ -281,15 +263,6 @@ def _dv_prime(a, y):
     return 2.0**a * y**a * l2y * ((1.0 + a) * l2y + 2.0)
 
 
-def _dv_second(a, y):
-    l2y = _log2y(y)
-    return (
-        2.0**a
-        * y ** (a - 1.0)
-        * ((a + a * a) * l2y * l2y + 2.0 * (1.0 + 2.0 * a) * l2y + 2.0)
-    )
-
-
 def _check_unit(xa, name, allow_zero=False):
     lo_ok = (xa >= 0.0) if allow_zero else (xa > 0.0)
     if not np.all(lo_ok & (xa <= 1.0)):
@@ -326,24 +299,6 @@ def X_double_prime(p: MapParams, x):
     return _ret(_v_second(a, g) * gp**2 + _v_prime(a, g) * gpp, scalar)
 
 
-def dalpha_g(p: MapParams, x):
-    """Parameter derivative of the branch inverse.
-
-    Implicit differentiation of f_a(g_a(x)) = x in a gives
-    d_a g = -v(g) / T'(g) = -X(x) / T'(g(x)); central a-differences of
-    ``branch_inverse`` confirm this (and rule out an extra 1/T' factor).
-    """
-    xa, scalar = _as_array(x)
-    _check_unit(xa, "dalpha_g")
-    g, gp = _g_chain(p, xa, 1)
-    return _ret(-_v(p.alpha, g) * gp, scalar)
-
-
-def _dgp(a, g, gp, G):
-    """d/da of g'(x) at fixed x: -(v'(g) + T''(g) G) g'^2."""
-    return -(_v_prime(a, g) + _f_deriv(a, g, 2) * G) * gp**2
-
-
 def dalpha_X(p: MapParams, x):
     """d/da of X(x) at fixed x: (d_a v)(g) + v'(g) * d_a g; 0 at x = 0."""
     a = p.alpha
@@ -363,32 +318,6 @@ def dalpha_X_prime(p: MapParams, x):
     _check_unit(xa, "dalpha_X_prime")
     g, gp = _g_chain(p, xa, 1)
     G = -_v(a, g) * gp
-    dgp = _dgp(a, g, gp, G)
+    dgp = -(_v_prime(a, g) + _f_deriv(a, g, 2) * G) * gp**2  # d/da of g'(x)
     out = (_dv_prime(a, g) + _v_second(a, g) * G) * gp + _v_prime(a, g) * dgp
-    return _ret(out, scalar)
-
-
-def dalpha_X_double_prime(p: MapParams, x):
-    """d/da of X''(x) at fixed x, by the chain rule through g, g', g''."""
-    a = p.alpha
-    xa, scalar = _as_array(x)
-    _check_unit(xa, "dalpha_X_double_prime")
-    g, gp, gpp = _g_chain(p, xa, 2)
-    G = -_v(a, g) * gp
-    dgp = _dgp(a, g, gp, G)
-    t2 = _f_deriv(a, g, 2)
-    # v'''(g) G and T'''(g) G, with the powers of g combined in
-    # k = 2^a g^(a-2) G = -4^a g^(2a-1) log(2g) g' so that none overflows
-    l2y = _log2y(g)
-    k = -(4.0**a) * g ** (2.0 * a - 1.0) * l2y * gp
-    v3G = k * (a * (a * a - 1.0) * l2y + 3.0 * a * a - 1.0)
-    t3G = k * (a + 1.0) * a * (a - 1.0)
-    # d/da of g''(x) = -(d_a T''(g) + T'''(g) G) g'^3 - 3 T''(g) g'^2 d_a g'
-    dgpp = -(_v_second(a, g) + t3G) * gp**3 - 3.0 * t2 * gp**2 * dgp
-    out = (
-        (_dv_second(a, g) + v3G) * gp**2
-        + _v_second(a, g) * 2.0 * gp * dgp
-        + (_dv_prime(a, g) + _v_second(a, g) * G) * gpp
-        + _v_prime(a, g) * dgpp
-    )
     return _ret(out, scalar)

@@ -253,6 +253,12 @@ def _check_K(name: str, K: int) -> None:
         raise ValueError(f"{name}: K must be >= 1")
 
 
+def _check_z(z: float) -> None:
+    """``ValueError`` unless |z| <= 1, where the susceptibility series is summed."""
+    if not abs(z) <= 1.0:
+        raise ValueError("susceptibility: need |z| <= 1")
+
+
 def response_series(
     p: MapParams,
     d: DensityRecord,
@@ -393,8 +399,7 @@ def susceptibility(
     At z = 1 the value equals the backward series value (integration by
     parts identity).
     """
-    if not abs(z) <= 1.0:
-        raise ValueError("susceptibility: need |z| <= 1")
+    _check_z(z)
     _check_K("susceptibility", K)
     obs = parse_observable(obs)
     if obs.fprime is None:

@@ -67,7 +67,6 @@ __all__ = [
     "Jet",
     "jet_one",
     "jet_apply",
-    "jet_from_density",
     "apply_L",
     "apply_N",
     "apply_preimage_sum",
@@ -75,7 +74,6 @@ __all__ = [
     "apply_d2L",
     "seven_term_decomposition",
     "compute_density",
-    "default_max_iter",
     "build_ulam",
     "ulam_stationary",
     "ulam_mean",
@@ -348,46 +346,10 @@ def jet_apply(p: MapParams, jet: Jet) -> Jet:
     return _jet_images(p, jet)[0]
 
 
-def jet_from_density(
-    p: MapParams,
-    record: DensityRecord,
-    order: int = 3,
-    max_sweeps: int = 2000,
-) -> Jet:
-    """Self-consistent derivative jet of the invariant density.
-
-    rho' , rho'', ... solve the differentiated fixed-point equations; with
-    rho frozen the jet update is an affine sup-contraction (rates (g')^(j+1)
-    and 2^-(j+1)), so sweeping ``jet_apply`` with the base level pinned to
-    rho converges geometrically away from 0 and like 1 - c x^alpha near it.
-    Stencil derivatives seed the iteration; ``ConvergenceError`` if the
-    relative change of a level is still above 1e-11 after ``max_sweeps``.
-    """
-    rho = record.density
-    mesh = rho.mesh
-    levels = [rho]
-    for _ in range(order):
-        levels.append(differentiate(levels[-1]))
-    jet, delta = Jet(tuple(levels)), math.inf
-    for _ in range(max_sweeps):
-        new = jet_apply(p, jet)
-        new = Jet((rho,) + new.levels[1:])
-        delta = max(
-            float(np.max(np.abs(new.levels[j].values - jet.levels[j].values)))
-            / max(float(np.max(np.abs(new.levels[j].values))), 1e-300)
-            for j in range(1, order + 1)
-        )
-        jet = new
-        if delta <= 1e-11:
-            return jet
-    raise ConvergenceError(
-        f"jet_from_density: relative change {delta:.3e} after {max_sweeps} sweeps")
-
-
-def default_max_iter(alpha: float, tol: float) -> int:
+def _default_max_iter(alpha: float, tol: float) -> int:
     """Budget of 64 to 200 000 steps matched to the L1 rate k^(1 - 1/alpha)."""
     if not 0.0 < tol < math.inf:
-        raise ValueError(f"default_max_iter: tol must be finite and > 0, got {tol!r}")
+        raise ValueError(f"_default_max_iter: tol must be finite and > 0, got {tol!r}")
     if alpha <= 0.0:
         return 64
     est = 8.0 * tol ** (alpha / (alpha - 1.0))
@@ -440,7 +402,7 @@ def compute_density(
     _check_max_iter("compute_density", max_iter)
     a = p.alpha
     if max_iter is None:
-        max_iter = default_max_iter(a, tol)
+        max_iter = _default_max_iter(a, tol)
     u, iterations, residual = _power_iterate(
         _step(p, mesh, a), mesh.quadrature(a), mesh.nodes**a, tol, max_iter)
     f = GridFunction(mesh, u, a)

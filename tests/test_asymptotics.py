@@ -219,6 +219,18 @@ class TestCorrelationDecay:
             correlation_decay(MapParams(0.3), None, "x", "x", 8,
                               method="montecarlo", **args)
 
+    def test_short_orbit_rejected_before_burn_in(self, monkeypatch):
+        from pmlab import asymptotics
+
+        steps = []
+        mc_step = asymptotics._mc_step
+        monkeypatch.setattr(asymptotics, "_mc_step",
+                            lambda *a: steps.append(1) or mc_step(*a))
+        with pytest.raises(ValueError, match="orbit_len too short"):
+            correlation_decay(MapParams(0.3), None, "x", "x", 8, method="montecarlo",
+                              n_orbits=16, orbit_len=32, burn_in=16)
+        assert steps == []
+
 
 class TestBirkhoff:
     def test_constant(self):

@@ -280,6 +280,8 @@ class TestCli:
         (["validate", "--obs", "bogus"], "unknown observable 'bogus'"),
         (["sweep", "--alphas", "0.2", "--obs", "bogus"], "unknown observable 'bogus'"),
         (["decay", "--method", "operator", "--psi", "bogus"], "unknown observable 'bogus'"),
+        (["response", "--z", "2"], "need |z| <= 1"),
+        (["decay", "--method", "operator", "--seed", "-1"], "non-negative"),
     ])
     def test_usage_checked_before_work(self, cache_env, tmp_path, capsys, monkeypatch,
                                        argv, message):

@@ -18,7 +18,6 @@ from pmlab import (
     default_cone_params,
     invariance_experiment,
     jet_apply,
-    jet_from_density,
     jet_one,
     omega_bar_factors,
     omega_factors,
@@ -90,13 +89,12 @@ class TestC2:
 
     def test_monotonicity_in_params(self, mesh25, rec25, p25):
         # enlarging b's and shrinking bars never turns a pass into a fail
-        jet = jet_from_density(p25, rec25, order=2)
         base = default_cone_params(p25, rec25, k_max=5)
-        rep = check_C2(rec25.density, base, derivs=jet.full_values())
+        rep = check_C2(rec25.density, base)
         assert rep.verdict
         loose = ConeParams(a=base.a, b1=2 * base.b1, b2=2 * base.b2, b3=2 * base.b3,
                            b1_bar=base.b1_bar / 2, b2_bar=base.b2_bar / 2)
-        rep2 = check_C2(rec25.density, loose, derivs=jet.full_values())
+        rep2 = check_C2(rec25.density, loose)
         assert rep2.verdict
         assert rep2.worst_margin >= rep.worst_margin - 1e-12
 
@@ -104,8 +102,7 @@ class TestC2:
 class TestCstar:
     def test_rho_passes(self, p25, rec25):
         cp = default_cone_params(p25, rec25, k_max=10)
-        jet = jet_from_density(p25, rec25, order=1)
-        rep = check_Cstar(rec25.density, p25, rec25, cp.a, derivs=jet.full_values())
+        rep = check_Cstar(rec25.density, p25, rec25, cp.a)
         assert rep.verdict
         assert rep.half_mass_margin > 0.0
 
@@ -132,9 +129,7 @@ class TestCstar:
 class TestCstar1:
     def test_rho_passes(self, p25, rec25):
         cp = default_cone_params(p25, rec25, k_max=10)
-        jet = jet_from_density(p25, rec25, order=1)
-        rep = check_Cstar1(rec25.density, p25, rec25, cp.a, cp.b1,
-                           derivs=jet.full_values())
+        rep = check_Cstar1(rec25.density, p25, rec25, cp.a, cp.b1)
         assert rep.verdict
 
     def test_power_law_derivative_bound(self, p25, rec25, mesh25):
@@ -150,9 +145,7 @@ class TestCstar1:
         mesh4 = build_mesh(p4, 4096, 100, 1e-6)
         rec4 = compute_density(p4, mesh4, tol=1e-8, max_iter=60000)
         cp = default_cone_params(p25, rec25, k_max=10)
-        jet = jet_from_density(p25, rec25, order=1)
-        rep = check_Cstar1(rec25.density, p25, rec25, cp.a, cp.b1,
-                           derivs=jet.full_values())
+        rep = check_Cstar1(rec25.density, p25, rec25, cp.a, cp.b1)
         assert rep.verdict
         c1, c2 = rec4.envelope_band(1e-5)
         # same function, coarser cone at beta = 0.4 on beta's own mesh
@@ -182,8 +175,7 @@ class TestC3:
 
     def test_rho_in_C3(self, p25, rec25):
         cp = default_cone_params(p25, rec25, k_max=10)
-        jet = jet_from_density(p25, rec25, order=3)
-        rep = check_C3(rec25.density, cp, derivs=jet.full_values())
+        rep = check_C3(rec25.density, cp)
         assert rep.verdict
 
 

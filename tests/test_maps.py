@@ -6,7 +6,6 @@ live since they are cheap.
 """
 
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -18,14 +17,12 @@ from pmlab import (
     X_double_prime,
     X_prime,
     branch_inverse,
-    branch_inverse_deriv,
     dalpha_X,
-    dalpha_X_double_prime,
     dalpha_X_prime,
-    dalpha_g,
     forward,
     forward_deriv,
 )
+from pmlab.maps import _g_chain
 
 ALPHAS = [0.0, 0.1, 0.25, 0.4, 0.5, 0.75]
 
@@ -191,30 +188,27 @@ class TestBranchInverse:
 
 
 class TestBranchInverseDeriv:
+    """The derivatives of g from ``_g_chain``, which the pullbacks and jets read."""
+
     def test_alpha_zero(self):
-        assert branch_inverse_deriv(MapParams(0.0), 0.3, 1) == 0.5
+        assert _g_chain(MapParams(0.0), 0.3, 1)[1][0] == 0.5
 
     def test_at_one(self):
         for a in ALPHAS:
-            assert branch_inverse_deriv(MapParams(a), 1.0, 1) == pytest.approx(
+            assert _g_chain(MapParams(a), 1.0, 1)[1][0] == pytest.approx(
                 1.0 / (2.0 + a), rel=1e-13
             )
 
-    @pytest.mark.parametrize("order", [1, 2, 3])
+    @pytest.mark.parametrize("order", [1, 2, 3, 4])
     def test_fd_consistency(self, order):
         p = MapParams(0.5)
         ys = np.geomspace(1e-5, 1.0, 30)
         h = 1e-6 * np.maximum(ys, 1e-2)
         lo = np.clip(ys - h, 1e-9, 1.0)
         hi = np.clip(ys + h, None, 1.0)
-        if order == 1:
-            fd = (branch_inverse(p, hi) - branch_inverse(p, lo)) / (hi - lo)
-        else:
-            fd = (
-                branch_inverse_deriv(p, hi, order - 1)
-                - branch_inverse_deriv(p, lo, order - 1)
-            ) / (hi - lo)
-        closed = branch_inverse_deriv(p, ys, order)
+        fd = (_g_chain(p, hi, order - 1)[order - 1]
+              - _g_chain(p, lo, order - 1)[order - 1]) / (hi - lo)
+        closed = _g_chain(p, ys, order)[order]
         assert np.max(np.abs(fd - closed)) < 1e-4 * np.max(np.abs(closed))
 
 
@@ -252,7 +246,7 @@ class TestPerturbationFields:
 
     @pytest.mark.parametrize(
         "field,dfield",
-        [(X, dalpha_X), (X_prime, dalpha_X_prime), (X_double_prime, dalpha_X_double_prime)],
+        [(X, dalpha_X), (X_prime, dalpha_X_prime)],
     )
     def test_alpha_derivatives_match_fd(self, field, dfield):
         xs = np.geomspace(1e-5, 1.0, 40)
@@ -265,24 +259,6 @@ class TestPerturbationFields:
             assert np.max(np.abs(fd - closed)) < 1e-7 * max(
                 np.max(np.abs(closed)), 1.0
             )
-
-    @pytest.mark.parametrize("a", [0.1, 0.25, 0.5, 0.9])
-    def test_dalpha_X_double_prime_finite_at_tiny_x(self, a):
-        # v'''(g) and T'''(g) grow like g^(a-2) and overflow below about
-        # 1e-200; their products with G = d_a g must not.  The central
-        # difference of X'' with h = 1e-6 is the oracle (the tolerance of
-        # the test above is absolute in max|closed| and does not fit here);
-        # its truncation error, about h^2 log(x)^2 / 6, stays below 1e-7
-        # down to the smallest subnormal.
-        xs = np.array([1e-200, 1e-300, 5e-324])
-        h = 1e-6
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            fd = (X_double_prime(MapParams(a + h), xs)
-                  - X_double_prime(MapParams(a - h), xs)) / (2 * h)
-            closed = dalpha_X_double_prime(MapParams(a), xs)
-        assert np.all(np.isfinite(closed))
-        assert np.all(np.abs(closed - fd) <= 1e-6 * np.abs(fd))
 
     def test_dalpha_X_at_one_matches_fd(self):
         # X_b(1) = 0 for every b (g_b(1) = 1/2 kills log(2g)), so the
@@ -300,20 +276,6 @@ class TestPerturbationFields:
 
     def test_dalpha_X_vanishes_at_zero(self):
         assert dalpha_X(MapParams(0.4), 0.0) == 0.0
-
-    def test_dalpha_g_matches_fd(self):
-        p = MapParams(0.3)
-        eps = 1e-5
-        fd = (
-            branch_inverse(MapParams(0.3 + eps), 0.5)
-            - branch_inverse(MapParams(0.3 - eps), 0.5)
-        ) / (2 * eps)
-        assert abs(dalpha_g(p, 0.5) - fd) < 1e-7
-
-    def test_dalpha_g_zero_at_endpoints_limit(self):
-        p = MapParams(0.45)
-        assert dalpha_g(p, 1.0) == 0.0
-        assert abs(dalpha_g(p, 1e-9)) < 1e-9
 
     def test_fd_constant_stable_under_h_halving(self):
         # |closed - FD| <= C h^2 with C stable as h is halved
@@ -344,7 +306,7 @@ class TestPerturbationFields:
 
     def test_domain_errors(self):
         p = MapParams(0.3)
-        for fn in (X_prime, X_double_prime, dalpha_X_prime, dalpha_X_double_prime):
+        for fn in (X_prime, X_double_prime, dalpha_X_prime):
             with pytest.raises(ValueError):
                 fn(p, 0.0)
         with pytest.raises(ValueError):
@@ -352,9 +314,8 @@ class TestPerturbationFields:
 
     def test_nan_is_outside_the_domain(self):
         p = MapParams(0.3)
-        fns = (forward, forward_deriv, branch_inverse, branch_inverse_deriv, X,
-               X_prime, X_double_prime, dalpha_g, dalpha_X, dalpha_X_prime,
-               dalpha_X_double_prime)
+        fns = (forward, forward_deriv, branch_inverse, X, X_prime, X_double_prime,
+               dalpha_X, dalpha_X_prime)
         for fn in fns:
             for arg in (math.nan, np.array([0.25, math.nan])):
                 with pytest.raises(ValueError, match="outside"):

@@ -20,13 +20,11 @@ from pmlab import (
     apply_d2L,
     apply_preimage_sum,
     branch_inverse,
-    branch_inverse_deriv,
     build_mesh,
     build_ulam,
     compute_density,
     integrate,
     jet_apply,
-    jet_from_density,
     jet_one,
     l1_norm,
     seven_term_decomposition,
@@ -35,8 +33,8 @@ from pmlab import (
 )
 from pmlab.grid import (_CSR_MIN_NODES, _HermiteGather, evaluate_u, hermite_stack,
                         hermite_weights)
-from pmlab.maps import forward
-from pmlab.transfer import _pullback_data, default_max_iter, ulam_l1_distance
+from pmlab.maps import _g_chain, forward
+from pmlab.transfer import _default_max_iter, _pullback_data, ulam_l1_distance
 
 
 @pytest.fixture(scope="module")
@@ -201,8 +199,6 @@ class TestApplyD2L:
 
 class TestJets:
     def test_jet_of_L1_matches_closed_forms(self, p3, mesh3):
-        from pmlab.maps import _g_chain
-
         jet = jet_apply(p3, jet_one(p3, mesh3, 3))
         g, gp, gpp, gppp, gpppp = _g_chain(p3, mesh3.nodes, 4)
         truth = [gp + 0.5, gpp, gppp, gpppp]
@@ -217,23 +213,6 @@ class TestJets:
         jet = jet_apply(p3, jet_one(p3, mesh3, 2))
         one = GridFunction(mesh3, mesh3.nodes**0.3, 0.3)
         assert np.max(np.abs(jet.levels[0].values - apply_L(p3, one).values)) < 1e-14
-
-    def test_density_jet_consistency(self, p3, rec3):
-        # the jet's first level should match the 3-point stencil derivative
-        # in the bulk where both are accurate
-        jet = jet_from_density(p3, rec3, order=2)
-        from pmlab.grid import differentiate
-
-        d_st = differentiate(rec3.density)
-        win = rec3.density.mesh.nodes > 1e-2
-        rel = np.abs(jet.levels[1].values - d_st.values) / np.max(
-            np.abs(d_st.values[win])
-        )
-        assert np.max(rel[win]) < 1e-3
-
-    def test_density_jet_budget_exhausted(self, p3, rec3):
-        with pytest.raises(ConvergenceError, match="after 3 sweeps"):
-            jet_from_density(p3, rec3, order=2, max_sweeps=3)
 
     def test_one_read_gives_both_images(self, p3, mesh3, monkeypatch):
         from pmlab import transfer
@@ -275,8 +254,7 @@ class TestPullbackData:
         rng = np.random.default_rng(11)
         for mesh in (mesh3, mesh_csr):
             x = mesh.nodes
-            g = branch_inverse(p3, x)
-            gp = branch_inverse_deriv(p3, x, 1)
+            g, gp = _g_chain(p3, x, 1)
             assert np.any(g < mesh.x_min)  # the constant extension is exercised
             for s in (0.0, p3.alpha):
                 f = GridFunction(mesh, rng.standard_normal(mesh.size), s)
@@ -383,7 +361,7 @@ class TestComputeDensity:
     @pytest.mark.parametrize("tol", [0.0, -1e-8, math.nan, math.inf])
     def test_default_max_iter_checks_tol(self, tol):
         with pytest.raises(ValueError, match="tol must be finite and > 0"):
-            default_max_iter(0.3, tol)
+            _default_max_iter(0.3, tol)
 
     @pytest.mark.parametrize("tol", [math.inf, math.nan, 0.0])
     def test_tol_must_be_finite_and_positive(self, p3, tol):
