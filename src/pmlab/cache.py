@@ -25,7 +25,7 @@ __all__ = [
     "resolve_cache_dir",
 ]
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 _ENV_VAR = "PMLAB_CACHE_DIR"
 
 

@@ -233,6 +233,8 @@ def cmd_validate(cfg) -> int:
     for eps in epsilons:
         _check_fd_eps(p.alpha, eps)
     _check_K("response_series", cfg["K"])
+    if cfg["gate"] < 0.0:
+        raise ValueError("validate: --gate must be >= 0")
     obs = parse_observable(cfg["obs"])
     rec = _get_density(cfg)[1].require_converged()
     series = response_series(p, rec, obs, cfg["K"], cfg["series_tol"])
@@ -397,6 +399,8 @@ def cmd_sweep(cfg) -> int:
         _check_fd_eps(max(alphas), cfg["fd_eps"])
     _check_K("response_series", cfg["K"])
     parse_observable(cfg["obs"])  # checked here; the pool gets the name, which pickles
+    if cfg["workers"] < 1:
+        raise ValueError("sweep: --workers must be >= 1")
     # the pool forks all of its processes at the first submit
     workers = min(cfg["workers"], len(alphas))
     if workers > 1:

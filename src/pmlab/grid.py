@@ -7,15 +7,15 @@ a dot product with a nonnegative quadrature vector q_s (``Mesh.quadrature``).
 Differentiation uses the product rule with nonuniform stencils on u; the
 3-point weights of ``differentiate`` and the 5-point ones of
 ``derivatives_full`` both come from ``fd_weights``.
-Point evaluation uses monotone piecewise-cubic (PCHIP) interpolation of u:
-the cubic Hermite weights of the query points (``hermite_weights``) act on
-the stacked nodal values and PCHIP slopes [u; d] (``hermite_stack``), so
-that fixed query points pay for them once.  Meshes below ``_CSR_MIN_NODES``
+Point evaluation uses piecewise-cubic Hermite interpolation of u: the
+weights of the query points (``hermite_weights``) act on the stacked nodal
+values and 3-point slopes [u; d] (``hermite_stack``), linear in u, so that
+fixed query points pay for them once.  Meshes below ``_CSR_MIN_NODES``
 nodes apply them as a numpy gather and never load scipy; larger ones as a
 CSR matrix, with the same bits.
 
 Everything that depends only on the mesh (cell widths, x^(-s) moments and
-quadrature vectors, PCHIP and stencil weights, and the per-alpha pullback
+quadrature vectors, slope and stencil weights, and the per-alpha pullback
 data of ``transfer``) is memoized in ``Mesh.cached`` and lives exactly as
 long as the mesh.
 
@@ -312,13 +312,17 @@ class GridFunction:
 
 
 # ---------------------------------------------------------------------------
-# PCHIP (Fritsch-Carlson) slopes and Hermite evaluation, vectorized.
-# Matches scipy.interpolate.PchipInterpolator to rounding.
+# Cubic Hermite slopes and evaluation, vectorized.
 # ---------------------------------------------------------------------------
 
 
 def hermite_stack(mesh: Mesh, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """[u; d] with d the PCHIP slopes of u, written into ``out`` if given."""
+    """[u; d] with d the 3-point slopes of u, written into ``out`` if given.
+
+    Interior d_i = (h_i m_(i-1) + h_(i-1) m_i) / (h_(i-1) + h_i) for the
+    secants m and widths h; the ends take the one-sided 3-point value.  No
+    limiter: [u; d] is linear in u, and the interpolant exact on quadratics.
+    """
     n = u.size
     ud = np.empty(2 * n) if out is None else out
     ud[:n] = u
@@ -328,32 +332,14 @@ def hermite_stack(mesh: Mesh, u: np.ndarray, out: np.ndarray | None = None) -> n
     m /= h
 
     def weights():
-        w1 = 2.0 * h[1:] + h[:-1]
-        w2 = h[1:] + 2.0 * h[:-1]
-        return _frozen(w1, w2, w1 + w2)
+        h01 = h[:-1] + h[1:]
+        return _frozen(h[1:] / h01, h[:-1] / h01)
 
-    w1, w2, w12 = mesh.cached("pchip", weights)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        whm = w1 / m[:-1]  # weighted harmonic mean of the two secants
-        whm += w2 / m[1:]
-        np.divide(w12, whm, out=whm)
-    pos, neg = m > 0.0, m < 0.0  # kept where both secants have one strict sign
-    d[1:-1] = 0.0
-    np.copyto(d[1:-1], whm, where=(pos[:-1] & pos[1:]) | (neg[:-1] & neg[1:]))
-
-    def sign(v):
-        return (v > 0.0) - (v < 0.0)
-
-    def edge(h0, h1, m0, m1):  # Python floats: no numpy scalar overhead
-        dd = ((2.0 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
-        if sign(dd) != sign(m0):
-            return 0.0
-        if sign(m0) != sign(m1) and abs(dd) > 3.0 * abs(m0):
-            return 3.0 * m0
-        return dd
-
-    d[0] = edge(*map(float, (h[0], h[1], m[0], m[1])))
-    d[-1] = edge(*map(float, (h[-1], h[-2], m[-1], m[-2])))
+    wl, wr = mesh.cached("slope", weights)
+    np.multiply(wl, m[:-1], out=d[1:-1])
+    d[1:-1] += wr * m[1:]
+    d[0] = ((2.0 * h[0] + h[1]) * m[0] - h[0] * m[1]) / (h[0] + h[1])
+    d[-1] = ((2.0 * h[-1] + h[-2]) * m[-1] - h[-1] * m[-2]) / (h[-1] + h[-2])
     return ud
 
 
@@ -398,7 +384,7 @@ class _HermiteGather:
 
 
 def hermite_weights(mesh: Mesh, xq):
-    """PCHIP evaluation at the 1-d points xq as an operator P: P @ [u; d].
+    """Hermite evaluation at the 1-d points xq as an operator P: P @ [u; d].
 
     Below ``_CSR_MIN_NODES`` mesh nodes P is a ``_HermiteGather``; from
     there on it is a CSR matrix whose row k holds the four weights of xq[k]
@@ -434,8 +420,8 @@ def evaluate_u(f: GridFunction, xq):
 def evaluate(f: GridFunction, x):
     """Evaluate f(x) = x^(-s) u(x) at scalar or array x in (0, 1].
 
-    u is interpolated by monotone piecewise cubics (exact at nodes and for
-    linear data); below x_min the regular factor is extended as a constant.
+    u is interpolated by piecewise cubics (exact at nodes and for quadratic
+    data); below x_min the regular factor is extended as a constant.
     """
     xa = np.asarray(x, dtype=float)
     scalar = xa.ndim == 0

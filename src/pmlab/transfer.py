@@ -22,7 +22,7 @@ an independent discretization of the same operator, and
 
 ``_pullback`` is the one pullback kernel, called by ``apply_L``,
 ``apply_N``, ``apply_preimage_sum`` and ``_jet_images``: for f = x^(-s) u
-it reads [u; PCHIP slopes] at g(x_i) and (x_i + 1)/2 through the n x 2n
+it reads [u; 3-point slopes] at g(x_i) and (x_i + 1)/2 through the n x 2n
 Hermite operators P_g, P_r of ``hermite_weights`` (a numpy gather below
 ``grid._CSR_MIN_NODES`` nodes, a CSR matrix from there on; one
 ``Mesh.cached`` entry per alpha beside g and its x-derivatives) and applies
@@ -128,7 +128,7 @@ def _pullback_data(p: MapParams, mesh: Mesh) -> dict:
     """Pullback data of both branches on a fixed mesh, built once per alpha.
 
     ``g`` holds g and its first four x-derivatives at the nodes, ``Pg`` and
-    ``Pr`` the PCHIP interpolation operators (``hermite_weights``) of the
+    ``Pr`` the Hermite interpolation operators (``hermite_weights``) of the
     pullback points g(x) and r(x) = (x+1)/2.  The entry lives in the mesh's
     cache, so it is freed with the mesh.
     """

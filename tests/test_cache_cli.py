@@ -12,6 +12,7 @@ import pytest
 
 from pmlab import MapParams, build_mesh, cli, compute_density
 from pmlab.cache import (
+    SCHEMA_VERSION,
     DensityCache,
     cache_key,
     density_record_from_dict,
@@ -93,7 +94,7 @@ class TestCli:
         assert main(DENS_ARGS + ["--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
         head = out1.read_text().splitlines()
-        assert head[0].startswith("# pmlab schema=1 config=")
+        assert head[0].startswith(f"# pmlab schema={SCHEMA_VERSION} config=")
         assert head[1] == "x,rho,envelope_ratio"
 
     def test_density_domain_error_exit1(self, cache_env, capsys):
@@ -120,11 +121,21 @@ class TestCli:
         assert json.loads(record.read_text())["converged"] is True
         assert (tmp_path / "d1.csv").read_bytes() == (tmp_path / "d2.csv").read_bytes()
 
+    def test_older_schema_record_is_recomputed(self, cache_env, tmp_path, capsys):
+        assert main(DENS_ARGS + ["--out", str(tmp_path / "d1.csv")]) == 0
+        (record,) = (cache_env / "cache").glob("density-*.json")
+        stored = json.loads(record.read_text())
+        stored["schema_version"] = 1  # a record of the PCHIP-slope operator
+        record.write_text(json.dumps(stored))
+        assert DensityCache(record.parent).get(record.stem[len("density-"):]) is None
+        assert main(DENS_ARGS + ["--out", str(tmp_path / "d2.csv")]) == 0
+        assert json.loads(record.read_text())["schema_version"] == SCHEMA_VERSION
+
     def test_density_json_format(self, cache_env, tmp_path, capsys):
         out = tmp_path / "d.json"
         assert main(DENS_ARGS + ["--format", "json", "--out", str(out)]) == 0
         payload = json.loads(out.read_text())
-        assert payload["meta"]["schema_version"] == 1
+        assert payload["meta"]["schema_version"] == SCHEMA_VERSION
         assert payload["record"]["converged"] is True
         assert payload["envelope"]["c1"] == pytest.approx(1.0, abs=1e-12)
 
@@ -282,6 +293,9 @@ class TestCli:
         (["decay", "--method", "operator", "--psi", "bogus"], "unknown observable 'bogus'"),
         (["response", "--z", "2"], "need |z| <= 1"),
         (["decay", "--method", "operator", "--seed", "-1"], "non-negative"),
+        (["validate", "--gate", "-1"], "gate must be >= 0"),
+        (["sweep", "--alphas", "0.2", "--workers", "-3"], "workers must be >= 1"),
+        (["sweep", "--alphas", "0.2", "--workers", "0"], "workers must be >= 1"),
     ])
     def test_usage_checked_before_work(self, cache_env, tmp_path, capsys, monkeypatch,
                                        argv, message):

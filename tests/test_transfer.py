@@ -78,9 +78,13 @@ class TestApplyL:
         f = GridFunction(mesh3, u, 0.3)
         assert integrate(apply_L(p3, f)) == pytest.approx(integrate(f), abs=2e-8)
 
-    def test_positivity(self, p3, mesh3, rng):
-        f = GridFunction(mesh3, rng.uniform(0.0, 1.0, mesh3.size), 0.3)
-        assert np.all(apply_L(p3, f).values >= 0.0)
+    def test_linear(self, p3, mesh3, rng):
+        # the slopes of [u; d] carry no limiter, so L is one fixed matrix
+        u = GridFunction(mesh3, rng.uniform(0.5, 2.0, mesh3.size), 0.3)
+        v = GridFunction(mesh3, np.cos(7.0 * mesh3.nodes) - 0.2, 0.3)
+        lhs = apply_L(p3, u + 2.5 * v).values
+        rhs = apply_L(p3, u).values + 2.5 * apply_L(p3, v).values
+        assert np.linalg.norm(lhs - rhs) <= 1e-14 * np.linalg.norm(lhs)
 
     def test_branch_decomposition_exact(self, p3, mesh3, rng):
         from pmlab.grid import hermite_stack
