@@ -15,9 +15,9 @@ nodes apply them as a numpy gather and never load scipy; larger ones as a
 CSR matrix, with the same bits.
 
 Everything that depends only on the mesh (cell widths, x^(-s) moments and
-quadrature vectors, slope and stencil weights, and the per-alpha pullback
-data of ``transfer``) is memoized in ``Mesh.cached`` and lives exactly as
-long as the mesh.
+quadrature vectors, slope and stencil weights, and the pullback data and
+assembled operators of ``transfer``) is memoized in ``Mesh.cached`` and
+lives exactly as long as the mesh.
 
 Meshes are built as the union of the neutral-orbit points g_a^l(1), a
 geometric refinement down to ``x_min`` and a polynomially graded bulk; below
@@ -316,15 +316,15 @@ class GridFunction:
 # ---------------------------------------------------------------------------
 
 
-def hermite_stack(mesh: Mesh, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """[u; d] with d the 3-point slopes of u, written into ``out`` if given.
+def hermite_stack(mesh: Mesh, u: np.ndarray) -> np.ndarray:
+    """[u; d] with d the 3-point slopes of u.
 
     Interior d_i = (h_i m_(i-1) + h_(i-1) m_i) / (h_(i-1) + h_i) for the
     secants m and widths h; the ends take the one-sided 3-point value.  No
     limiter: [u; d] is linear in u, and the interpolant exact on quadratics.
     """
     n = u.size
-    ud = np.empty(2 * n) if out is None else out
+    ud = np.empty(2 * n)
     ud[:n] = u
     d = ud[n:]
     h = mesh.widths
@@ -343,25 +343,40 @@ def hermite_stack(mesh: Mesh, u: np.ndarray, out: np.ndarray | None = None) -> n
     return ud
 
 
-# Below this many mesh nodes ``hermite_weights`` returns a numpy gather, at
-# and above it a scipy CSR matrix.  Importing scipy.sparse adds 0.13-0.22 s
-# and 16-22 MB of peak RSS to a fresh process; the gather's ``@`` takes
-# 1.8-2.4x the time of the compiled CSR matvec, and a whole L step
-# 1.4-1.5x, at 4k-33k nodes (2-core host, numpy 2.4, scipy 1.17).  So the
-# CLI's default meshes (4105-4264 nodes), whose processes are short, skip
-# the import, and the long power iterations on meshes of 7706 nodes and
-# more keep the CSR matvec.
+# Below this many mesh nodes ``hermite_weights`` and ``transfer._assemble``
+# build a numpy gather, at and above it a scipy CSR matrix.  Importing
+# scipy.sparse adds 0.13-0.22 s and 16-22 MB of peak RSS to a fresh process;
+# the gather's ``@`` of an 8-entry L step takes 3.1-4.0x the time of the
+# compiled CSR matvec at 4k-8k nodes (115-130 us against 37 us at 4221) and
+# 5-7x at 16k-33k, and of a 4-entry Hermite read 2.5-3.8x (2-core host,
+# numpy 2.4, scipy 1.17).  So the CLI's default meshes (4105-4264 nodes),
+# whose processes are short, skip the import, and the long power iterations
+# on meshes of 7706 nodes and more keep the CSR matvec.
 _CSR_MIN_NODES = 6144
 
 
-class _HermiteGather:
+class _Gather:
+    """Rows of k weighted reads as a numpy gather: row r of G @ v adds
+    weights[r, j] * v[cols[r, j]] for j = 0..k-1 in order to a zero start, as
+    the CSR matvec adds a row of ``_csr``, so both give the same bits."""
+
+    def __init__(self, cols: np.ndarray, weights: np.ndarray):
+        # intp columns: numpy gathers fastest with them
+        self.cols, self.weights = _frozen(cols.astype(np.intp, copy=False), weights)
+
+    def __matmul__(self, v: np.ndarray) -> np.ndarray:
+        out = np.zeros(self.cols.shape[0])
+        for c, w in zip(self.cols.T, self.weights.T):
+            out += w * v[c]
+        return out
+
+
+class _HermiteGather(_Gather):
     """Cubic Hermite evaluation at the 1-d points xq as a gather: G @ [u; d].
 
     Each point has the left node index i of its cell (i, i+1) and four
-    weights on u[i], d[i], u[i+1], d[i+1].  ``@`` adds the four products in
-    that order to a zero start, as the CSR matvec adds a ``hermite_weights``
-    row, so both give the same bits.  Points below x_min are clipped to it,
-    where the weights are (1, 0, 0, 0).
+    weights on u[i], d[i], u[i+1], d[i+1].  Points below x_min are clipped
+    to it, where the weights are (1, 0, 0, 0).
     """
 
     def __init__(self, mesh: Mesh, xq: np.ndarray):
@@ -372,38 +387,32 @@ class _HermiteGather:
         t = (np.clip(xq, x[0], 1.0) - x0) / hh
         t2 = t * t
         t3 = t2 * t
-        self.cols = _frozen(idx, idx + n, idx + 1, idx + 1 + n)
-        self.weights = _frozen(2.0 * t3 - 3.0 * t2 + 1.0, hh * (t3 - 2.0 * t2 + t),
-                               3.0 * t2 - 2.0 * t3, hh * (t3 - t2))
-
-    def __matmul__(self, ud: np.ndarray) -> np.ndarray:
-        out = np.zeros(self.cols[0].size)
-        for c, w in zip(self.cols, self.weights):
-            out += w * ud[c]
-        return out
+        super().__init__(idx[:, None] + np.array([0, n, 1, n + 1]),
+                         np.stack([2.0 * t3 - 3.0 * t2 + 1.0, hh * (t3 - 2.0 * t2 + t),
+                                   3.0 * t2 - 2.0 * t3, hh * (t3 - t2)], axis=1))
 
 
-def hermite_weights(mesh: Mesh, xq):
-    """Hermite evaluation at the 1-d points xq as an operator P: P @ [u; d].
-
-    Below ``_CSR_MIN_NODES`` mesh nodes P is a ``_HermiteGather``; from
-    there on it is a CSR matrix whose row k holds the four weights of xq[k]
-    in the gather's order, unsorted and unsummed, so the two give the same
-    bits.  Points below x_min get the constant extension of u.
-    """
-    G = _HermiteGather(mesh, np.asarray(xq, dtype=float))
-    if mesh.size < _CSR_MIN_NODES:
-        return G
+def _csr(cols: np.ndarray, weights: np.ndarray, ncols: int):
+    """``_Gather(cols, weights)`` as a CSR matrix of ``ncols`` columns, each
+    row's entries in order, unsorted and unsummed: the same bits."""
     # imported here, not at module level: a process that builds only small
     # operators never loads scipy
     import scipy.sparse as sp
 
-    cols = np.stack(G.cols, axis=1, dtype=np.int32).ravel()
-    P = sp.csr_matrix((np.stack(G.weights, axis=1).ravel(), cols,
-                       np.arange(0, cols.size + 1, 4, dtype=np.int32)),
-                      shape=(G.cols[0].size, 2 * mesh.size))
+    m, k = cols.shape
+    P = sp.csr_matrix((weights.ravel(), cols.astype(np.int32, copy=False).ravel(),
+                       np.arange(0, m * k + 1, k, dtype=np.int32)), shape=(m, ncols))
     _frozen(P.data, P.indices, P.indptr)
     return P
+
+
+def hermite_weights(mesh: Mesh, xq):
+    """Hermite evaluation at the 1-d points xq as an operator P: P @ [u; d],
+    a ``_HermiteGather`` below ``_CSR_MIN_NODES`` mesh nodes and its CSR
+    matrix from there on.  Points below x_min get the constant extension of u.
+    """
+    G = _HermiteGather(mesh, np.asarray(xq, dtype=float))
+    return G if mesh.size < _CSR_MIN_NODES else _csr(G.cols, G.weights, 2 * mesh.size)
 
 
 def evaluate_u(f: GridFunction, xq):

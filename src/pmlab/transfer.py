@@ -20,17 +20,20 @@ row-stochastic Ulam matrix from exact branchwise preimage intersections,
 an independent discretization of the same operator, and
 ``ulam_stationary`` runs the same loop on it.
 
-``_pullback`` is the one pullback kernel, called by ``apply_L``,
-``apply_N``, ``apply_preimage_sum`` and ``_jet_images``: for f = x^(-s) u
-it reads [u; 3-point slopes] at g(x_i) and (x_i + 1)/2 through the n x 2n
-Hermite operators P_g, P_r of ``hermite_weights`` (a numpy gather below
-``grid._CSR_MIN_NODES`` nodes, a CSR matrix from there on; one
-``Mesh.cached`` entry per alpha beside g and its x-derivatives) and applies
-the ratios (x/g)^s, (x/r)^s (cached per (alpha, s)).  ``_step``,
-u -> L(x^(-s) u) or A on raw nodal arrays with a reused [u; d] buffer, is
-the step of every L^k loop.  ``_jet_images`` reads
-a jet once for both images, N and L = N + the affine-branch term (``jet_apply``
-returns L), so the cone experiment reads each iterate L^k(1) once.
+``_pullback`` is the pullback kernel of ``apply_N`` (and so ``apply_M``)
+and ``_jet_images``: for f = x^(-s) u it reads [u; 3-point slopes] at
+g(x_i) and (x_i + 1)/2 through the n x 2n Hermite operators P_g, P_r of
+``hermite_weights`` (one ``Mesh.cached`` entry per alpha, built on the first
+read) and applies the ratios (x/g)^s, (x/r)^s.  It is exact on constants.
+``_step``, u -> L(x^(-s) u) or A on raw nodal arrays, is the step of
+``apply_L``, ``apply_preimage_sum`` and every L^k loop: one matvec of
+L_s = diag(g' (x/g)^s) P_g [I; S] + diag((x/r)^s / 2) P_r [I; S] (A: weights
+1), S the slope map, which ``_assemble`` scatters into 8 entries a row once
+per (alpha, s) and keeps in ``Mesh.cached``: a numpy gather below
+``grid._CSR_MIN_NODES`` nodes, a CSR matrix from there on.
+``_jet_images`` reads a jet once for both images, N and L = N + the
+affine-branch term (``jet_apply`` returns L), so the cone experiment reads
+each iterate L^k(1) once.
 """
 
 import math
@@ -53,7 +56,11 @@ from .grid import (
     Mesh,
     differentiate,
     evaluate,
+    _CSR_MIN_NODES,
     _frozen,
+    _Gather,
+    _HermiteGather,
+    _csr,
     hermite_stack,
     hermite_weights,
     integrate,
@@ -124,18 +131,20 @@ class DensityRecord:
         return float(np.min(vals)), float(np.max(vals))
 
 
-def _pullback_data(p: MapParams, mesh: Mesh) -> dict:
-    """Pullback data of both branches on a fixed mesh, built once per alpha.
+def _g_nodes(p: MapParams, mesh: Mesh):
+    """g and its first four x-derivatives at the nodes, once per alpha."""
+    return mesh.cached(("g", p.alpha), lambda: _frozen(*_g_chain(p, mesh.nodes, 4)))
 
-    ``g`` holds g and its first four x-derivatives at the nodes, ``Pg`` and
-    ``Pr`` the Hermite interpolation operators (``hermite_weights``) of the
-    pullback points g(x) and r(x) = (x+1)/2.  The entry lives in the mesh's
-    cache, so it is freed with the mesh.
+
+def _pullback_data(p: MapParams, mesh: Mesh) -> dict:
+    """The kernel's operators, built once per alpha on their first read:
+    ``Pg`` and ``Pr`` the Hermite interpolation operators
+    (``hermite_weights``) of the pullback points g(x) and r(x) = (x+1)/2.
+    The entry lives in the mesh's cache, so it is freed with the mesh.
     """
 
     def build():
-        g = _frozen(*_g_chain(p, mesh.nodes, 4))
-        return {"g": g, "Pg": hermite_weights(mesh, g[0]),
+        return {"Pg": hermite_weights(mesh, _g_nodes(p, mesh)[0]),
                 "Pr": hermite_weights(mesh, 0.5 * (mesh.nodes + 1.0))}
 
     return mesh.cached(("pullbacks", p.alpha), build)
@@ -145,7 +154,7 @@ def _ratios(p: MapParams, mesh: Mesh, s: float):
     """Singular-factor ratios (x/g)^s and (x/r)^s at the nodes, once per (alpha, s)."""
 
     def build():
-        x, g = mesh.nodes, _pullback_data(p, mesh)["g"][0]
+        x, g = mesh.nodes, _g_nodes(p, mesh)[0]
         lr_g = np.log(x) - np.log(g)  # log(x / g(x)), stable for tiny x
         lr_r = np.log(x) - np.log(0.5 * (x + 1.0))
         return _frozen(np.exp(s * lr_g), np.exp(s * lr_r))
@@ -161,27 +170,48 @@ def _pullback(p: MapParams, mesh: Mesh, s: float, ud: np.ndarray):
     return (pb["Pg"] @ ud) * eg, (pb["Pr"] @ ud) * er
 
 
+def _assemble(p: MapParams, mesh: Mesh, s: float, preimage_sum: bool):
+    """``_step``'s operator, 8 entries a row, in the representation
+    ``hermite_weights`` picks: per branch, the read of [u; S u] in cell
+    (j, j+1) needs u only at the 4 nodes from clip(j-1, 0, n-4) on, one per
+    class mod 4, so its weights are its reads of the period-4 indicator
+    vectors (S from ``hermite_stack``), times the row's weight and ratio."""
+    n, x, g = mesh.size, mesh.nodes, _g_nodes(p, mesh)
+    eg, er = _ratios(p, mesh, s)
+    # column dtype: intp, which numpy gathers fastest, or CSR's int32
+    index = np.intp if n < _CSR_MIN_NODES else np.int32
+    rows, reads, c0 = np.arange(n), np.empty((2, 4, n)), []
+    for b, xq in enumerate((g[0], 0.5 * (x + 1.0))):
+        G = _HermiteGather(mesh, xq)
+        for k in range(4):
+            reads[b, k] = G @ hermite_stack(mesh, (rows % 4 == k).astype(float))
+        c0.append(np.clip(G.cols[:, 0] - 1, 0, n - 4).astype(index))
+        del G
+    # every (s, preimage_sum) of this alpha shares the columns
+    cols = mesh.cached(("L cols", p.alpha), lambda: _frozen(np.concatenate(
+        [c[:, None] + np.arange(4, dtype=index) for c in c0], axis=1)))
+    scales = (eg, er) if preimage_sum else (g[1] * eg, 0.5 * er)
+    data = np.empty((n, 8))
+    for j in range(8):
+        data[:, j] = reads[j // 4, cols[:, j] % 4, rows] * scales[j // 4]
+    return _Gather(cols, data) if n < _CSR_MIN_NODES else _csr(cols, data, n)
+
+
 def _step(p: MapParams, mesh: Mesh, s: float, preimage_sum: bool = False):
-    """The raw-array step of every L^k loop: nodal u -> the u of L(x^(-s) u),
-    g' w_g + w_r / 2, or of A(x^(-s) u) = w_g + w_r with ``preimage_sum``.
-    One [u; d] buffer serves every call; each call returns a fresh array."""
-    ud = np.empty(2 * mesh.size)
-    cg, cr = (1.0, 1.0) if preimage_sum else (_pullback_data(p, mesh)["g"][1], 0.5)
-
-    def step(u):
-        wg, wr = _pullback(p, mesh, s, hermite_stack(mesh, u, ud))
-        wg *= cg
-        wr *= cr
-        wg += wr
-        return wg
-
-    return step
+    """The step of every L^k loop, nodal u -> the u of L(x^(-s) u), i.e.
+    g' w_g + w_r / 2 for the kernel's reads w, or of A(x^(-s) u) = w_g + w_r
+    with ``preimage_sum``: one matvec of ``_assemble``'s operator, built once
+    per (alpha, s, preimage_sum) in the mesh's cache.  Each call returns a
+    fresh array."""
+    L = mesh.cached(("L", p.alpha, s, preimage_sum),
+                    lambda: _assemble(p, mesh, s, preimage_sum))
+    return lambda u: L @ u
 
 
 def apply_N(p: MapParams, f: GridFunction) -> GridFunction:
     """Left-branch transfer operator: N f(x) = g'(x) f(g(x))."""
     wg, _ = _pullback(p, f.mesh, f.s, hermite_stack(f.mesh, f.values))
-    wg *= _pullback_data(p, f.mesh)["g"][1]
+    wg *= _g_nodes(p, f.mesh)[1]
     return GridFunction(f.mesh, wg, f.s)
 
 
@@ -320,7 +350,7 @@ def _jet_images(p: MapParams, jet: Jet) -> tuple[Jet, Jet]:
     mesh = jet.mesh
     x = mesh.nodes
     s = jet.levels[0].s
-    _, gp, gpp, gppp, gpppp = _pullback_data(p, mesh)["g"]
+    _, gp, gpp, gppp, gpppp = _g_nodes(p, mesh)
     wg, wr = zip(*(_pullback(p, mesh, s + i, hermite_stack(mesh, lv.values))
                    for i, lv in enumerate(jet.levels)))
     order = jet.order

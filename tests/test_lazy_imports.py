@@ -2,9 +2,10 @@
 
 Importing pmlab, its CLI and the orbit statistics (Monte Carlo decay,
 Birkhoff means, the neutral orbit) must not import scipy, and neither may
-operators on meshes below ``grid._CSR_MIN_NODES`` nodes, whose pullbacks
-are numpy gathers: the CLI commands at their default mesh among them.  The
-first pullback on a larger mesh loads ``scipy.sparse`` for its CSR matrix.
+operators on meshes below ``grid._CSR_MIN_NODES`` nodes, whose assembled L
+steps and Hermite pullback operators are numpy gathers: the CLI commands
+at their default mesh among them.  The first density solve on a larger
+mesh loads ``scipy.sparse`` for the CSR matrix of its assembled step.
 The pytest process has scipy loaded already, so each check runs in a fresh
 interpreter.
 """
