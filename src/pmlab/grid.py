@@ -7,12 +7,11 @@ a dot product with a nonnegative quadrature vector q_s (``Mesh.quadrature``).
 Differentiation uses the product rule with nonuniform stencils on u; the
 3-point weights of ``differentiate`` and the 5-point ones of
 ``derivatives_full`` both come from ``fd_weights``.
-Point evaluation uses piecewise-cubic Hermite interpolation of u: the
-weights of the query points (``hermite_weights``) act on the stacked nodal
-values and 3-point slopes [u; d] (``hermite_stack``), linear in u, so that
-fixed query points pay for them once.  Meshes below ``_CSR_MIN_NODES``
-nodes apply them as a numpy gather and never load scipy; larger ones as a
-CSR matrix, with the same bits.
+Point evaluation uses piecewise-cubic Hermite interpolation of u with
+3-point slopes, a read of u at 4 nodes per point whose weights add to
+exactly 1 (``_hermite_read``); fixed query points pay for them once
+(``hermite_weights``).  Meshes below ``_CSR_MIN_NODES`` nodes apply them as
+a numpy gather and never load scipy; larger ones as CSR, with the same bits.
 
 Everything that depends only on the mesh (cell widths, x^(-s) moments and
 quadrature vectors, slope and stencil weights, and the pullback data and
@@ -316,31 +315,24 @@ class GridFunction:
 # ---------------------------------------------------------------------------
 
 
-def hermite_stack(mesh: Mesh, u: np.ndarray) -> np.ndarray:
-    """[u; d] with d the 3-point slopes of u.
+def hermite_slopes(mesh: Mesh, u: np.ndarray) -> np.ndarray:
+    """The 3-point slopes d of the nodal values u.
 
     Interior d_i = (h_i m_(i-1) + h_(i-1) m_i) / (h_(i-1) + h_i) for the
     secants m and widths h; the ends take the one-sided 3-point value.  No
-    limiter: [u; d] is linear in u, and the interpolant exact on quadratics.
+    limiter: d is linear in u, and the interpolant exact on quadratics.
     """
-    n = u.size
-    ud = np.empty(2 * n)
-    ud[:n] = u
-    d = ud[n:]
     h = mesh.widths
     m = np.diff(u)
     m /= h
-
-    def weights():
-        h01 = h[:-1] + h[1:]
-        return _frozen(h[1:] / h01, h[:-1] / h01)
-
-    wl, wr = mesh.cached("slope", weights)
+    wl, wr = mesh.cached("slope", lambda: _frozen(h[1:] / (h[:-1] + h[1:]),
+                                                  h[:-1] / (h[:-1] + h[1:])))
+    d = np.empty(u.size)
     np.multiply(wl, m[:-1], out=d[1:-1])
     d[1:-1] += wr * m[1:]
     d[0] = ((2.0 * h[0] + h[1]) * m[0] - h[0] * m[1]) / (h[0] + h[1])
     d[-1] = ((2.0 * h[-1] + h[-2]) * m[-1] - h[-1] * m[-2]) / (h[-1] + h[-2])
-    return ud
+    return d
 
 
 # Below this many mesh nodes ``hermite_weights`` and ``transfer._assemble``
@@ -371,25 +363,45 @@ class _Gather:
         return out
 
 
-class _HermiteGather(_Gather):
-    """Cubic Hermite evaluation at the 1-d points xq as a gather: G @ [u; d].
-
-    Each point has the left node index i of its cell (i, i+1) and four
-    weights on u[i], d[i], u[i+1], d[i+1].  Points below x_min are clipped
-    to it, where the weights are (1, 0, 0, 0).
+def _hermite_read(mesh: Mesh, xq: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Cubic Hermite interpolation at the 1-d points xq: fills w and returns
+    c, so that u(xq[r]) = w[r, 0] u[c[r]] + ... + w[r, 3] u[c[r] + 3], added
+    in that order.  In cell (i, i+1) the read takes u and its slopes
+    (``hermite_slopes``) at i and i+1, so it needs u only at the 4 nodes
+    from c = clip(i-1, 0, n-4) on, one per class mod 4: the weights are the
+    reads of the period-4 indicator vectors.  The last one makes each row
+    add to exactly 1.0, so reads are exact on constants.  Points below x_min
+    are clipped to it, where they read u[0].
     """
+    x, n = mesh.nodes, mesh.size
+    idx = np.clip(np.searchsorted(x, xq, side="right") - 1, 0, n - 2)
+    x0 = x[idx]
+    hh = x[idx + 1] - x0
+    t = (np.clip(xq, x[0], 1.0) - x0) / hh
+    t2 = t * t
+    t3 = t2 * t
+    basis = (2.0 * t3 - 3.0 * t2 + 1.0, hh * (t3 - 2.0 * t2 + t),
+             3.0 * t2 - 2.0 * t3, hh * (t3 - t2))
+    del x0, hh, t, t2, t3  # peak memory: only the basis stays
+    c, rows = np.clip(idx - 1, 0, n - 4), np.arange(idx.size)
+    for k in range(4):
+        e = (np.arange(n) % 4 == k).astype(float)
+        d = hermite_slopes(mesh, e)
+        w[rows, (k - c) % 4] = (((basis[0] * e[idx] + basis[1] * d[idx])
+                                 + basis[2] * e[1:][idx]) + basis[3] * d[1:][idx])
+        del e, d  # before the next class's slopes
+    part = (w[:, 0] + w[:, 1]) + w[:, 2]
+    w[:, 3] = 1.0 - part
+    w[:, 3] += 1.0 - (part + w[:, 3])
+    return c
+
+
+class _HermiteGather(_Gather):
+    """``_hermite_read`` at the 1-d points xq as a gather: G @ u."""
 
     def __init__(self, mesh: Mesh, xq: np.ndarray):
-        x, n = mesh.nodes, mesh.size
-        idx = np.clip(np.searchsorted(x, xq, side="right") - 1, 0, n - 2)
-        x0 = x[idx]
-        hh = x[idx + 1] - x0
-        t = (np.clip(xq, x[0], 1.0) - x0) / hh
-        t2 = t * t
-        t3 = t2 * t
-        super().__init__(idx[:, None] + np.array([0, n, 1, n + 1]),
-                         np.stack([2.0 * t3 - 3.0 * t2 + 1.0, hh * (t3 - 2.0 * t2 + t),
-                                   3.0 * t2 - 2.0 * t3, hh * (t3 - t2)], axis=1))
+        w = np.empty((xq.size, 4))
+        super().__init__(_hermite_read(mesh, xq, w)[:, None] + np.arange(4), w)
 
 
 def _csr(cols: np.ndarray, weights: np.ndarray, ncols: int):
@@ -407,12 +419,11 @@ def _csr(cols: np.ndarray, weights: np.ndarray, ncols: int):
 
 
 def hermite_weights(mesh: Mesh, xq):
-    """Hermite evaluation at the 1-d points xq as an operator P: P @ [u; d],
-    a ``_HermiteGather`` below ``_CSR_MIN_NODES`` mesh nodes and its CSR
-    matrix from there on.  Points below x_min get the constant extension of u.
-    """
+    """Hermite interpolation at the 1-d points xq as an operator P @ u of
+    ``mesh.size`` columns: a ``_HermiteGather`` below ``_CSR_MIN_NODES`` mesh
+    nodes and its CSR matrix from there on.  Constant below x_min."""
     G = _HermiteGather(mesh, np.asarray(xq, dtype=float))
-    return G if mesh.size < _CSR_MIN_NODES else _csr(G.cols, G.weights, 2 * mesh.size)
+    return G if mesh.size < _CSR_MIN_NODES else _csr(G.cols, G.weights, mesh.size)
 
 
 def evaluate_u(f: GridFunction, xq):
@@ -422,8 +433,7 @@ def evaluate_u(f: GridFunction, xq):
     so the result equals the ``hermite_weights`` matvec bit for bit.
     """
     xq = np.asarray(xq, dtype=float)
-    G = _HermiteGather(f.mesh, xq.ravel())
-    return (G @ hermite_stack(f.mesh, f.values)).reshape(xq.shape)
+    return (_HermiteGather(f.mesh, xq.ravel()) @ f.values).reshape(xq.shape)
 
 
 def evaluate(f: GridFunction, x):
@@ -435,10 +445,8 @@ def evaluate(f: GridFunction, x):
     xa = np.asarray(x, dtype=float)
     scalar = xa.ndim == 0
     xa = np.atleast_1d(xa)
-    if np.any(xa <= 0.0):
-        raise ValueError("evaluate: x must be > 0")
-    if np.any(xa > 1.0 + 1e-12):
-        raise ValueError("evaluate: x must be <= 1")
+    if not np.all((xa > 0.0) & (xa <= 1.0 + 1e-12)):  # NaN fails both
+        raise ValueError("evaluate: x must lie in (0, 1]")
     xa = np.minimum(xa, 1.0)
     out = evaluate_u(f, xa)
     if f.s != 0.0:

@@ -21,7 +21,7 @@ implementation of the operator derivative M = d_a L.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -446,17 +446,19 @@ def finite_difference_response(
     """Response by differencing invariant densities at a +/- eps.
 
     Central quotient (one-sided upward at the a = 0 boundary), computed on
-    the *same* mesh so discretization bias cancels; returns the natural
+    the *same* mesh nodes so discretization bias cancels; returns the natural
     derivative quotient (int psi d mu_{a+eps} - int psi d mu_{a-eps})/(2 eps)
-    to match the series orientation.  A density that does not converge
-    raises ``ConvergenceError``.
+    to match the series orientation.  Each density is solved on a copy of
+    the mesh with an empty cache, so the caller's mesh keeps no operator of
+    a +/- eps.  A density that does not converge raises ``ConvergenceError``.
     """
     a = p.alpha
     _check_fd_eps(a, eps)
     obs = parse_observable(obs)
 
     def mean_at(alpha_val: float) -> float:
-        rec = compute_density(MapParams(alpha_val), mesh, tol=tol, max_iter=max_iter)
+        rec = compute_density(MapParams(alpha_val), replace(mesh, _cache={}),
+                              tol=tol, max_iter=max_iter)
         return observable_mean(obs, rec.require_converged())
 
     if a - eps < 0.0:

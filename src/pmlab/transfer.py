@@ -21,16 +21,16 @@ an independent discretization of the same operator, and
 ``ulam_stationary`` runs the same loop on it.
 
 ``_pullback`` is the pullback kernel of ``apply_N`` (and so ``apply_M``)
-and ``_jet_images``: for f = x^(-s) u it reads [u; 3-point slopes] at
-g(x_i) and (x_i + 1)/2 through the n x 2n Hermite operators P_g, P_r of
-``hermite_weights`` (one ``Mesh.cached`` entry per alpha, built on the first
-read) and applies the ratios (x/g)^s, (x/r)^s.  It is exact on constants.
+and ``_jet_images``: for f = x^(-s) u it reads u at g(x_i) and (x_i + 1)/2
+through the Hermite operators P_g, P_r of ``hermite_weights`` (4 entries a
+row, one ``Mesh.cached`` entry per alpha, built on the first read) and
+applies the ratios (x/g)^s, (x/r)^s.  It is exact on constants.
 ``_step``, u -> L(x^(-s) u) or A on raw nodal arrays, is the step of
 ``apply_L``, ``apply_preimage_sum`` and every L^k loop: one matvec of
-L_s = diag(g' (x/g)^s) P_g [I; S] + diag((x/r)^s / 2) P_r [I; S] (A: weights
-1), S the slope map, which ``_assemble`` scatters into 8 entries a row once
-per (alpha, s) and keeps in ``Mesh.cached``: a numpy gather below
-``grid._CSR_MIN_NODES`` nodes, a CSR matrix from there on.
+L_s = diag(g' (x/g)^s) P_g + diag((x/r)^s / 2) P_r (A: weights 1), the same
+reads side by side, which ``_assemble`` builds once per (alpha, s) in
+``Mesh.cached``: a numpy gather below ``grid._CSR_MIN_NODES`` nodes, CSR
+from there on.
 ``_jet_images`` reads a jet once for both images, N and L = N + the
 affine-branch term (``jet_apply`` returns L), so the cone experiment reads
 each iterate L^k(1) once.
@@ -59,9 +59,8 @@ from .grid import (
     _CSR_MIN_NODES,
     _frozen,
     _Gather,
-    _HermiteGather,
     _csr,
-    hermite_stack,
+    _hermite_read,
     hermite_weights,
     integrate,
     integrate_to,
@@ -137,11 +136,9 @@ def _g_nodes(p: MapParams, mesh: Mesh):
 
 
 def _pullback_data(p: MapParams, mesh: Mesh) -> dict:
-    """The kernel's operators, built once per alpha on their first read:
-    ``Pg`` and ``Pr`` the Hermite interpolation operators
-    (``hermite_weights``) of the pullback points g(x) and r(x) = (x+1)/2.
-    The entry lives in the mesh's cache, so it is freed with the mesh.
-    """
+    """The kernel's ``hermite_weights`` operators ``Pg`` and ``Pr`` of the
+    pullback points g(x) and r(x) = (x+1)/2, built once per alpha on their
+    first read and freed with the mesh."""
 
     def build():
         return {"Pg": hermite_weights(mesh, _g_nodes(p, mesh)[0]),
@@ -162,38 +159,30 @@ def _ratios(p: MapParams, mesh: Mesh, s: float):
     return mesh.cached(("ratios", p.alpha, s), build)
 
 
-def _pullback(p: MapParams, mesh: Mesh, s: float, ud: np.ndarray):
-    """The one pullback kernel: for f = x^(-s) u with ud = [u; d], the branch
-    reads x^s f(g(x)) = (x/g)^s u(g(x)) and x^s f(r(x)) at the nodes, as
-    fresh arrays."""
+def _pullback(p: MapParams, mesh: Mesh, s: float, u: np.ndarray):
+    """The one pullback kernel: for f = x^(-s) u, the branch reads
+    x^s f(g(x)) = (x/g)^s u(g(x)) and x^s f(r(x)) at the nodes, as fresh
+    arrays."""
     pb, (eg, er) = _pullback_data(p, mesh), _ratios(p, mesh, s)
-    return (pb["Pg"] @ ud) * eg, (pb["Pr"] @ ud) * er
+    return (pb["Pg"] @ u) * eg, (pb["Pr"] @ u) * er
 
 
 def _assemble(p: MapParams, mesh: Mesh, s: float, preimage_sum: bool):
-    """``_step``'s operator, 8 entries a row, in the representation
-    ``hermite_weights`` picks: per branch, the read of [u; S u] in cell
-    (j, j+1) needs u only at the 4 nodes from clip(j-1, 0, n-4) on, one per
-    class mod 4, so its weights are its reads of the period-4 indicator
-    vectors (S from ``hermite_stack``), times the row's weight and ratio."""
+    """``_step``'s operator in the representation ``hermite_weights`` picks:
+    the reads of u at g(x) and r(x) = (x+1)/2 (``grid._hermite_read``, 4
+    weights each) side by side, each times its row scale."""
     n, x, g = mesh.size, mesh.nodes, _g_nodes(p, mesh)
-    eg, er = _ratios(p, mesh, s)
     # column dtype: intp, which numpy gathers fastest, or CSR's int32
-    index = np.intp if n < _CSR_MIN_NODES else np.int32
-    rows, reads, c0 = np.arange(n), np.empty((2, 4, n)), []
-    for b, xq in enumerate((g[0], 0.5 * (x + 1.0))):
-        G = _HermiteGather(mesh, xq)
-        for k in range(4):
-            reads[b, k] = G @ hermite_stack(mesh, (rows % 4 == k).astype(float))
-        c0.append(np.clip(G.cols[:, 0] - 1, 0, n - 4).astype(index))
-        del G
-    # every (s, preimage_sum) of this alpha shares the columns
-    cols = mesh.cached(("L cols", p.alpha), lambda: _frozen(np.concatenate(
-        [c[:, None] + np.arange(4, dtype=index) for c in c0], axis=1)))
-    scales = (eg, er) if preimage_sum else (g[1] * eg, 0.5 * er)
+    cols = np.empty((n, 8), np.intp if n < _CSR_MIN_NODES else np.int32)
     data = np.empty((n, 8))
-    for j in range(8):
-        data[:, j] = reads[j // 4, cols[:, j] % 4, rows] * scales[j // 4]
+    for b, xq in enumerate((g[0], 0.5 * (x + 1.0))):
+        c = _hermite_read(mesh, xq, data[:, 4 * b:4 * b + 4])
+        cols[:, 4 * b:4 * b + 4] = c[:, None] + np.arange(4)
+    eg, er = _ratios(p, mesh, s)
+    data[:, :4] *= (eg if preimage_sum else g[1] * eg)[:, None]
+    data[:, 4:] *= (er if preimage_sum else 0.5 * er)[:, None]
+    # every (s, preimage_sum) of this alpha shares the columns
+    cols = mesh.cached(("L cols", p.alpha), lambda: _frozen(cols))
     return _Gather(cols, data) if n < _CSR_MIN_NODES else _csr(cols, data, n)
 
 
@@ -210,7 +199,7 @@ def _step(p: MapParams, mesh: Mesh, s: float, preimage_sum: bool = False):
 
 def apply_N(p: MapParams, f: GridFunction) -> GridFunction:
     """Left-branch transfer operator: N f(x) = g'(x) f(g(x))."""
-    wg, _ = _pullback(p, f.mesh, f.s, hermite_stack(f.mesh, f.values))
+    wg, _ = _pullback(p, f.mesh, f.s, f.values)
     wg *= _g_nodes(p, f.mesh)[1]
     return GridFunction(f.mesh, wg, f.s)
 
@@ -351,7 +340,7 @@ def _jet_images(p: MapParams, jet: Jet) -> tuple[Jet, Jet]:
     x = mesh.nodes
     s = jet.levels[0].s
     _, gp, gpp, gppp, gpppp = _g_nodes(p, mesh)
-    wg, wr = zip(*(_pullback(p, mesh, s + i, hermite_stack(mesh, lv.values))
+    wg, wr = zip(*(_pullback(p, mesh, s + i, lv.values)
                    for i, lv in enumerate(jet.levels)))
     order = jet.order
     out = [wg[0] * gp]

@@ -60,6 +60,13 @@ class TestNeutralOrbit:
         ell, xl, bound, margin = rows[0]
         assert ell == 1 and xl == 0.5 and bound > xl and margin > 0.0
 
+    def test_rows_alpha0(self):
+        # the orbit is exactly geometric: the bound is met with margin 0
+        rows = neutral_orbit(MapParams(0.0), 12).to_rows()
+        assert [r[0] for r in rows] == list(range(1, 13))
+        for ell, xl, bound, margin in rows:
+            assert bound == 2.0**-ell and xl == bound and margin == 0.0
+
     def test_validation(self):
         with pytest.raises(ValueError):
             neutral_orbit(MapParams(0.3), 1)

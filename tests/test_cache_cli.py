@@ -169,6 +169,18 @@ class TestCli:
                      "--eps", "1e-2", "--gate", "1e-9"])
         assert code == 2
 
+    def test_validate_forward_series_gate_exit2(self, cache_env, tmp_path, capsys,
+                                                monkeypatch):
+        # a zero noise scale: any forward-series term deviation fails its gate
+        monkeypatch.setattr(cli, "forward_noise_scale", lambda mesh, obs: 0.0)
+        code = main(["validate", "--alpha", "0.25", "--mesh", "256",
+                     "--orbit-points", "16", "--tol", "1e-6", "--obs", "x",
+                     "--K", "16", "--eps", "1e-2", "--gate", "1.0",
+                     "--out", str(tmp_path / "v.csv")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "forward-series terms deviate" in err and "(3 x 0.000e+00)" in err
+
     def test_cones_omega_alpha0(self, cache_env, tmp_path, capsys):
         out = tmp_path / "o.json"
         code = main(["cones", "--alpha", "0", "--cone", "omega",

@@ -6,12 +6,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pmlab import MapParams, GridFunction, build_mesh, evaluate
+from pmlab import MapParams, GridFunction, build_mesh, evaluate, grid
 from pmlab.grid import (
     differentiate,
     derivatives_full,
     gridfunction_from_dict,
     gridfunction_to_dict,
+    hermite_weights,
     integrate,
     integrate_to,
     l1_norm,
@@ -215,9 +216,36 @@ class TestEvaluate:
         with pytest.raises(ValueError):
             evaluate(f, 1.5)
 
+    def test_nan_rejected(self, mesh):
+        f = GridFunction(mesh, np.ones(mesh.size), 0.0)
+        with pytest.raises(ValueError, match="must lie in"):
+            evaluate(f, np.nan)
+        with pytest.raises(ValueError, match="must lie in"):
+            evaluate(f, np.array([0.5, np.nan]))
+
     def test_scalar_returns_float(self, mesh):
         f = GridFunction(mesh, np.ones(mesh.size), 0.0)
         assert isinstance(evaluate(f, 0.3), float)
+
+
+class TestHermiteWeights:
+    @pytest.mark.parametrize("alpha", [0.0, 0.25, 0.5, 0.9])
+    def test_rows_add_to_one_exactly(self, alpha, monkeypatch):
+        # every read is exact on constants, as a gather and as CSR
+        p = MapParams(alpha)
+        mesh = build_mesh(p, 1024, 64, 1e-8)
+        x, n = mesh.nodes, mesh.size
+        queries = (branch_inverse(p, x), 0.5 * (x + 1.0), x,
+                   np.random.default_rng(22).uniform(0.0, 1.0, 2000))
+        for csr_min in (n + 1, n):
+            monkeypatch.setattr(grid, "_CSR_MIN_NODES", csr_min)
+            for xq in queries:
+                P = hermite_weights(mesh, xq)
+                if csr_min > n:
+                    assert P.cols.shape == (xq.size, 4) and P.cols.max() < n
+                else:
+                    assert P.format == "csr" and P.shape == (xq.size, n)
+                assert np.all(P @ np.ones(n) == 1.0)
 
 
 class TestGridFunctionAlgebra:

@@ -285,6 +285,14 @@ class TestFiniteDifference:
         fd2 = finite_difference_response(p25, "x", 5e-3, mesh, tol=1e-9)
         assert abs(fd1 - fd2) < 0.02 * abs(fd2)
 
+    def test_caller_mesh_keeps_no_operator_of_the_shifted_alphas(self, p25):
+        mesh = build_mesh(p25, 256, 40, 1e-5)
+        eps = 1e-2
+        finite_difference_response(p25, "cos", eps, mesh, tol=1e-8)
+        shifted = {p25.alpha - eps, p25.alpha + eps}
+        assert not [key for key in mesh._cache
+                    if isinstance(key, tuple) and shifted & set(key)]
+
     def test_one_sided_at_zero(self, rec0):
         p = MapParams(0.0)
         mesh = rec0.density.mesh

@@ -34,8 +34,7 @@ from pmlab import (
     ulam_stationary,
 )
 from pmlab import transfer
-from pmlab.grid import (_CSR_MIN_NODES, _Gather, _HermiteGather, evaluate_u,
-                        hermite_stack, hermite_weights)
+from pmlab.grid import _CSR_MIN_NODES, _Gather, _HermiteGather, evaluate_u, hermite_weights
 from pmlab.maps import _g_chain, forward
 from pmlab.transfer import _default_max_iter, _pullback_data, ulam_l1_distance
 
@@ -97,11 +96,10 @@ class TestApplyL:
         assert np.linalg.norm(lhs - rhs) <= 1e-14 * np.linalg.norm(lhs)
 
     def test_branch_decomposition_exact(self, p3, mesh3, rng):
-        from pmlab.grid import hermite_stack
         from pmlab.transfer import _g_nodes, _pullback
 
         f = GridFunction(mesh3, rng.uniform(0.5, 2.0, mesh3.size), 0.3)
-        wg, wr = _pullback(p3, mesh3, f.s, hermite_stack(mesh3, f.values))
+        wg, wr = _pullback(p3, mesh3, f.s, f.values)
         left, right = wg * _g_nodes(p3, mesh3)[1], 0.5 * wr
         assert _rel_gap(apply_L(p3, f).values, left + right) <= 2e-15
         assert np.array_equal(apply_N(p3, f).values, left)
@@ -290,11 +288,10 @@ class TestPullbackData:
         P, G = hermite_weights(mesh_csr, xq), _HermiteGather(mesh_csr, xq)
         assert P.format == "csr"
         rng = np.random.default_rng(14)
-        # the last [u; d] makes every product -0.0: both sums start at +0.0
-        for ud in (hermite_stack(mesh_csr, rng.standard_normal(n)),
-                   hermite_stack(mesh_csr, -np.abs(rng.standard_normal(n))),
-                   np.full(2 * n, -0.0)):
-            assert (G @ ud).tobytes() == (P @ ud).tobytes()
+        # the last u makes every product -0.0: both sums start at +0.0
+        for u in (rng.standard_normal(n), -np.abs(rng.standard_normal(n)),
+                  np.full(n, -0.0)):
+            assert (G @ u).tobytes() == (P @ u).tobytes()
 
     def test_jet_level0_is_apply_L_exactly(self, p3, mesh3):
         rng = np.random.default_rng(12)
@@ -335,7 +332,7 @@ class TestAssembledStep:
                     else:
                         assert L.format == "csr" and L.nnz == 8 * mesh.size
                     for u in (rho.values, rng.uniform(0.5, 2.0, mesh.size)):
-                        wg, wr = transfer._pullback(p3, mesh, s, hermite_stack(mesh, u))
+                        wg, wr = transfer._pullback(p3, mesh, s, u)
                         kernel = wg + wr if preimage_sum else gp * wg + 0.5 * wr
                         assert _rel_gap(step(u), kernel) <= 2e-15
 
