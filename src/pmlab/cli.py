@@ -370,10 +370,14 @@ def cmd_decay(cfg) -> int:
 
 def _parse_alphas(spec: str) -> list[float]:
     if ":" in spec:
-        a, b, step = (float(t) for t in spec.split(":"))
+        try:
+            a, b, step = (float(t) for t in spec.split(":"))
+        except ValueError:
+            raise ValueError(f"sweep: --alphas must be start:stop:step, got {spec!r}") from None
         if not step > 0.0:
             raise ValueError(f"sweep: --alphas step must be > 0, got {step:g}")
-        n = int(round((b - a) / step)) + 1
+        # every a + i step up to b; the slack keeps b when (b - a) / step rounds low
+        n = math.floor((b - a) / step + 1e-9) + 1
         return [round(a + i * step, 12) for i in range(n)]
     return [float(t) for t in spec.split(",") if t.strip()]
 

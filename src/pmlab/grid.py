@@ -9,14 +9,15 @@ Differentiation uses the product rule with nonuniform stencils on u; the
 ``derivatives_full`` both come from ``fd_weights``.
 Point evaluation uses piecewise-cubic Hermite interpolation of u with
 3-point slopes, a read of u at 4 nodes per point whose weights add to
-exactly 1 (``_hermite_read``); fixed query points pay for them once
-(``hermite_weights``).  Meshes below ``_CSR_MIN_NODES`` nodes apply them as
-a numpy gather and never load scipy; larger ones as CSR, with the same bits.
+exactly 1 (``_hermite_read``).  ``_operator`` turns rows of such reads into
+an operator on u, and is the one place that picks its form: a numpy gather
+below ``_CSR_MIN_NODES`` nodes, which never loads scipy, and CSR from there
+on, with the same bits; ``_regroup`` reads its entries in shorter rows.
 
 Everything that depends only on the mesh (cell widths, x^(-s) moments and
-quadrature vectors, slope and stencil weights, and the pullback data and
-assembled operators of ``transfer``) is memoized in ``Mesh.cached`` and
-lives exactly as long as the mesh.
+quadrature vectors, slope and stencil weights, and the assembled operators
+of ``transfer``) is memoized in ``Mesh.cached`` and lives exactly as long
+as the mesh.
 
 Meshes are built as the union of the neutral-orbit points g_a^l(1), a
 geometric refinement down to ``x_min`` and a polynomially graded bulk; below
@@ -335,8 +336,8 @@ def hermite_slopes(mesh: Mesh, u: np.ndarray) -> np.ndarray:
     return d
 
 
-# Below this many mesh nodes ``hermite_weights`` and ``transfer._assemble``
-# build a numpy gather, at and above it a scipy CSR matrix.  Importing
+# Below this many mesh nodes ``_operator`` (the assembled L and the kernel)
+# builds a numpy gather, at and above it a scipy CSR matrix.  Importing
 # scipy.sparse adds 0.13-0.22 s and 16-22 MB of peak RSS to a fresh process;
 # the gather's ``@`` of an 8-entry L step takes 3.1-4.0x the time of the
 # compiled CSR matvec at 4k-8k nodes (115-130 us against 37 us at 4221) and
@@ -350,11 +351,10 @@ _CSR_MIN_NODES = 6144
 class _Gather:
     """Rows of k weighted reads as a numpy gather: row r of G @ v adds
     weights[r, j] * v[cols[r, j]] for j = 0..k-1 in order to a zero start, as
-    the CSR matvec adds a row of ``_csr``, so both give the same bits."""
+    the CSR matvec adds a row of the same entries, so both give the same bits."""
 
     def __init__(self, cols: np.ndarray, weights: np.ndarray):
-        # intp columns: numpy gathers fastest with them
-        self.cols, self.weights = _frozen(cols.astype(np.intp, copy=False), weights)
+        self.cols, self.weights = _frozen(cols, weights)
 
     def __matmul__(self, v: np.ndarray) -> np.ndarray:
         out = np.zeros(self.cols.shape[0])
@@ -363,15 +363,42 @@ class _Gather:
         return out
 
 
+def _operator(mesh: Mesh, cols: np.ndarray, weights: np.ndarray):
+    """The (m, k) rows ``cols``, ``weights`` of weighted reads as an operator
+    on u, in the form the mesh size picks: a ``_Gather`` below
+    ``_CSR_MIN_NODES`` nodes, a CSR matrix from there on, over the same two
+    arrays when ``cols`` has the dtype ``_hermite_read`` gives on this mesh."""
+    if mesh.size < _CSR_MIN_NODES:
+        return _Gather(cols, weights)
+    # imported here, not at module level: a process that builds only small
+    # operators never loads scipy
+    import scipy.sparse as sp
+
+    m, k = cols.shape
+    P = sp.csr_matrix((weights.ravel(), cols.ravel(),
+                       np.arange(0, m * k + 1, k, dtype=np.int32)), shape=(m, mesh.size))
+    _frozen(P.data, P.indices, P.indptr)
+    return P
+
+
+def _regroup(mesh: Mesh, P, k: int):
+    """The entries of an ``_operator`` P as rows of k, in the same order and
+    over P's own weight and column arrays."""
+    cols, w = (P.cols, P.weights) if isinstance(P, _Gather) else (P.indices, P.data)
+    return _operator(mesh, cols.reshape(-1, k), w.reshape(-1, k))
+
+
 def _hermite_read(mesh: Mesh, xq: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Cubic Hermite interpolation at the 1-d points xq: fills w and returns
-    c, so that u(xq[r]) = w[r, 0] u[c[r]] + ... + w[r, 3] u[c[r] + 3], added
-    in that order.  In cell (i, i+1) the read takes u and its slopes
-    (``hermite_slopes``) at i and i+1, so it needs u only at the 4 nodes
-    from c = clip(i-1, 0, n-4) on, one per class mod 4: the weights are the
-    reads of the period-4 indicator vectors.  The last one makes each row
-    add to exactly 1.0, so reads are exact on constants.  Points below x_min
-    are clipped to it, where they read u[0].
+    the columns c, so that u(xq[r]) = w[r, 0] u[c[r, 0]] + ... + w[r, 3]
+    u[c[r, 3]], added in that order, in the column dtype of the mesh's
+    ``_operator`` form: intp below ``_CSR_MIN_NODES`` nodes (numpy gathers
+    fastest with it), CSR's int32 from there on.  In cell (i, i+1) the read
+    takes u and its slopes (``hermite_slopes``) at i and i+1, so it needs u
+    only at the 4 nodes from clip(i-1, 0, n-4) on, one per class mod 4: the
+    weights are the reads of the period-4 indicator vectors.  The last one
+    makes each row add to exactly 1.0, so reads are exact on constants.
+    Points below x_min are clipped to it, where they read u[0].
     """
     x, n = mesh.nodes, mesh.size
     idx = np.clip(np.searchsorted(x, xq, side="right") - 1, 0, n - 2)
@@ -393,47 +420,19 @@ def _hermite_read(mesh: Mesh, xq: np.ndarray, w: np.ndarray) -> np.ndarray:
     part = (w[:, 0] + w[:, 1]) + w[:, 2]
     w[:, 3] = 1.0 - part
     w[:, 3] += 1.0 - (part + w[:, 3])
-    return c
-
-
-class _HermiteGather(_Gather):
-    """``_hermite_read`` at the 1-d points xq as a gather: G @ u."""
-
-    def __init__(self, mesh: Mesh, xq: np.ndarray):
-        w = np.empty((xq.size, 4))
-        super().__init__(_hermite_read(mesh, xq, w)[:, None] + np.arange(4), w)
-
-
-def _csr(cols: np.ndarray, weights: np.ndarray, ncols: int):
-    """``_Gather(cols, weights)`` as a CSR matrix of ``ncols`` columns, each
-    row's entries in order, unsorted and unsummed: the same bits."""
-    # imported here, not at module level: a process that builds only small
-    # operators never loads scipy
-    import scipy.sparse as sp
-
-    m, k = cols.shape
-    P = sp.csr_matrix((weights.ravel(), cols.astype(np.int32, copy=False).ravel(),
-                       np.arange(0, m * k + 1, k, dtype=np.int32)), shape=(m, ncols))
-    _frozen(P.data, P.indices, P.indptr)
-    return P
-
-
-def hermite_weights(mesh: Mesh, xq):
-    """Hermite interpolation at the 1-d points xq as an operator P @ u of
-    ``mesh.size`` columns: a ``_HermiteGather`` below ``_CSR_MIN_NODES`` mesh
-    nodes and its CSR matrix from there on.  Constant below x_min."""
-    G = _HermiteGather(mesh, np.asarray(xq, dtype=float))
-    return G if mesh.size < _CSR_MIN_NODES else _csr(G.cols, G.weights, mesh.size)
+    dtype = np.intp if n < _CSR_MIN_NODES else np.int32
+    return c.astype(dtype)[:, None] + np.arange(4, dtype=dtype)
 
 
 def evaluate_u(f: GridFunction, xq):
     """Interpolate the regular factor u at xq; constant below x_min.
 
-    The same ``_HermiteGather`` that small meshes use for their pullbacks,
-    so the result equals the ``hermite_weights`` matvec bit for bit.
+    A ``_Gather`` of ``_hermite_read``'s rows, the reads that the transfer
+    operators are assembled from.
     """
     xq = np.asarray(xq, dtype=float)
-    return (_HermiteGather(f.mesh, xq.ravel()) @ f.values).reshape(xq.shape)
+    w = np.empty((xq.size, 4))
+    return (_Gather(_hermite_read(f.mesh, xq.ravel(), w), w) @ f.values).reshape(xq.shape)
 
 
 def evaluate(f: GridFunction, x):

@@ -20,17 +20,18 @@ row-stochastic Ulam matrix from exact branchwise preimage intersections,
 an independent discretization of the same operator, and
 ``ulam_stationary`` runs the same loop on it.
 
-``_pullback`` is the pullback kernel of ``apply_N`` (and so ``apply_M``)
-and ``_jet_images``: for f = x^(-s) u it reads u at g(x_i) and (x_i + 1)/2
-through the Hermite operators P_g, P_r of ``hermite_weights`` (4 entries a
-row, one ``Mesh.cached`` entry per alpha, built on the first read) and
-applies the ratios (x/g)^s, (x/r)^s.  It is exact on constants.
 ``_step``, u -> L(x^(-s) u) or A on raw nodal arrays, is the step of
 ``apply_L``, ``apply_preimage_sum`` and every L^k loop: one matvec of
-L_s = diag(g' (x/g)^s) P_g + diag((x/r)^s / 2) P_r (A: weights 1), the same
-reads side by side, which ``_assemble`` builds once per (alpha, s) in
-``Mesh.cached``: a numpy gather below ``grid._CSR_MIN_NODES`` nodes, CSR
-from there on.
+L_s = diag(g' (x/g)^s) P_g + diag((x/r)^s / 2) P_r (A: weights 1), where
+P_g and P_r are the Hermite reads of u at g(x_i) and (x_i + 1)/2
+(``grid._hermite_read``, 4 entries a row) side by side, which ``_assemble``
+builds once per (alpha, s) in ``Mesh.cached`` (``grid._operator`` picks
+the gather or CSR form).  ``_pullback`` is the pullback kernel of
+``apply_N`` (and so ``apply_M``) and ``_jet_images``: for f = x^(-s) u it
+reads u through the rows of the preimage sum A at s = 0, whose row scales
+are 1, split into their two branch terms P_g u and P_r u (``grid._regroup``,
+over A's own arrays), and applies the ratios (x/g)^s, (x/r)^s.  So each
+alpha has one set of Hermite weights, and the kernel is exact on constants.
 ``_jet_images`` reads a jet once for both images, N and L = N + the
 affine-branch term (``jet_apply`` returns L), so the cone experiment reads
 each iterate L^k(1) once.
@@ -56,12 +57,10 @@ from .grid import (
     Mesh,
     differentiate,
     evaluate,
-    _CSR_MIN_NODES,
     _frozen,
-    _Gather,
-    _csr,
     _hermite_read,
-    hermite_weights,
+    _operator,
+    _regroup,
     integrate,
     integrate_to,
 )
@@ -131,20 +130,9 @@ class DensityRecord:
 
 
 def _g_nodes(p: MapParams, mesh: Mesh):
-    """g and its first four x-derivatives at the nodes, once per alpha."""
-    return mesh.cached(("g", p.alpha), lambda: _frozen(*_g_chain(p, mesh.nodes, 4)))
-
-
-def _pullback_data(p: MapParams, mesh: Mesh) -> dict:
-    """The kernel's ``hermite_weights`` operators ``Pg`` and ``Pr`` of the
-    pullback points g(x) and r(x) = (x+1)/2, built once per alpha on their
-    first read and freed with the mesh."""
-
-    def build():
-        return {"Pg": hermite_weights(mesh, _g_nodes(p, mesh)[0]),
-                "Pr": hermite_weights(mesh, 0.5 * (mesh.nodes + 1.0))}
-
-    return mesh.cached(("pullbacks", p.alpha), build)
+    """g and g' at the nodes, once per alpha: all that L, A, the ratios and
+    ``apply_N`` read.  (The higher derivatives overflow at tiny x_min.)"""
+    return mesh.cached(("g", p.alpha), lambda: _frozen(*_g_chain(p, mesh.nodes, 1)))
 
 
 def _ratios(p: MapParams, mesh: Mesh, s: float):
@@ -162,38 +150,42 @@ def _ratios(p: MapParams, mesh: Mesh, s: float):
 def _pullback(p: MapParams, mesh: Mesh, s: float, u: np.ndarray):
     """The one pullback kernel: for f = x^(-s) u, the branch reads
     x^s f(g(x)) = (x/g)^s u(g(x)) and x^s f(r(x)) at the nodes, as fresh
-    arrays."""
-    pb, (eg, er) = _pullback_data(p, mesh), _ratios(p, mesh, s)
-    return (pb["Pg"] @ u) * eg, (pb["Pr"] @ u) * er
+    arrays.  It reads A at s = 0 (row scales exp(0) = 1.0) in rows of 4."""
+    P = mesh.cached(("pullbacks", p.alpha),
+                    lambda: _regroup(mesh, _cached_L(p, mesh, 0.0, True), 4))
+    w = (P @ u).reshape(mesh.size, 2)
+    eg, er = _ratios(p, mesh, s)
+    return w[:, 0] * eg, w[:, 1] * er
 
 
 def _assemble(p: MapParams, mesh: Mesh, s: float, preimage_sum: bool):
-    """``_step``'s operator in the representation ``hermite_weights`` picks:
-    the reads of u at g(x) and r(x) = (x+1)/2 (``grid._hermite_read``, 4
-    weights each) side by side, each times its row scale."""
+    """``_step``'s operator: the reads of u at g(x) and r(x) = (x+1)/2
+    (``grid._hermite_read``, 4 weights each) side by side, each times its
+    row scale, as a ``grid._operator``."""
     n, x, g = mesh.size, mesh.nodes, _g_nodes(p, mesh)
-    # column dtype: intp, which numpy gathers fastest, or CSR's int32
-    cols = np.empty((n, 8), np.intp if n < _CSR_MIN_NODES else np.int32)
     data = np.empty((n, 8))
-    for b, xq in enumerate((g[0], 0.5 * (x + 1.0))):
-        c = _hermite_read(mesh, xq, data[:, 4 * b:4 * b + 4])
-        cols[:, 4 * b:4 * b + 4] = c[:, None] + np.arange(4)
+    cols = np.hstack([_hermite_read(mesh, xq, data[:, 4 * b:4 * b + 4])
+                      for b, xq in enumerate((g[0], 0.5 * (x + 1.0)))])
     eg, er = _ratios(p, mesh, s)
     data[:, :4] *= (eg if preimage_sum else g[1] * eg)[:, None]
     data[:, 4:] *= (er if preimage_sum else 0.5 * er)[:, None]
     # every (s, preimage_sum) of this alpha shares the columns
     cols = mesh.cached(("L cols", p.alpha), lambda: _frozen(cols))
-    return _Gather(cols, data) if n < _CSR_MIN_NODES else _csr(cols, data, n)
+    return _operator(mesh, cols, data)
+
+
+def _cached_L(p: MapParams, mesh: Mesh, s: float, preimage_sum: bool):
+    """``_assemble``'s operator, once per (alpha, s, preimage_sum) in the mesh's cache."""
+    return mesh.cached(("L", p.alpha, s, preimage_sum),
+                       lambda: _assemble(p, mesh, s, preimage_sum))
 
 
 def _step(p: MapParams, mesh: Mesh, s: float, preimage_sum: bool = False):
     """The step of every L^k loop, nodal u -> the u of L(x^(-s) u), i.e.
     g' w_g + w_r / 2 for the kernel's reads w, or of A(x^(-s) u) = w_g + w_r
-    with ``preimage_sum``: one matvec of ``_assemble``'s operator, built once
-    per (alpha, s, preimage_sum) in the mesh's cache.  Each call returns a
+    with ``preimage_sum``: one matvec of ``_cached_L``.  Each call returns a
     fresh array."""
-    L = mesh.cached(("L", p.alpha, s, preimage_sum),
-                    lambda: _assemble(p, mesh, s, preimage_sum))
+    L = _cached_L(p, mesh, s, preimage_sum)
     return lambda u: L @ u
 
 
@@ -339,7 +331,8 @@ def _jet_images(p: MapParams, jet: Jet) -> tuple[Jet, Jet]:
     mesh = jet.mesh
     x = mesh.nodes
     s = jet.levels[0].s
-    _, gp, gpp, gppp, gpppp = _g_nodes(p, mesh)
+    _, gp, gpp, gppp, gpppp = mesh.cached(
+        ("g jet", p.alpha), lambda: _frozen(*_g_chain(p, x, 4)))
     wg, wr = zip(*(_pullback(p, mesh, s + i, lv.values)
                    for i, lv in enumerate(jet.levels)))
     order = jet.order

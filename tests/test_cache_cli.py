@@ -540,6 +540,8 @@ class TestCli:
         ["nosuch"],
         ["sweep", "--alphas", "0.1:0.2:0"],
         ["sweep", "--alphas", "0.2:0.1:0.05"],
+        ["sweep", "--alphas", "0.1:0.2"],
+        ["sweep", "--alphas", "0.1:0.2:0.05:0.1"],
         ["cones", "--cone", "omega", "--grid", "0"],
     ])
     def test_usage_error_exit1(self, cache_env, tmp_path, capsys, argv):
@@ -549,8 +551,22 @@ class TestCli:
         except SystemExit as exc:  # argparse's errors leave main this way
             code = exc.code
         assert code == 1
-        assert "pmlab: error:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "pmlab: error:" in err
+        if "--alphas" in argv:
+            assert "--alphas" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("spec, alphas", [
+        ("0.05:0.45:0.05", [0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.35, 0.4, 0.45]),
+        ("0.0:0.3:0.1", [0.0, 0.1, 0.2, 0.3]),
+        ("0.05:0.45:0.07", [0.05, 0.12, 0.19, 0.26, 0.33, 0.4]),
+        ("0.9:0.96:0.1", [0.9]),
+        ("0.2:0.1:0.05", []),
+        ("0.1,0.3", [0.1, 0.3]),
+    ])
+    def test_parse_alphas_stops_at_stop(self, spec, alphas):
+        assert cli._parse_alphas(spec) == alphas
 
     @pytest.mark.parametrize("argv, code", [
         (["density", "--mesh", "abc"], 1),

@@ -23,20 +23,23 @@ from pmlab import (
     build_mesh,
     build_ulam,
     compute_density,
+    default_cone_params,
     integrate,
+    invariance_experiment,
     jet_apply,
     jet_one,
     l1_norm,
     response_series,
+    response_series_forward,
     seven_term_decomposition,
     susceptibility,
     ulam_mean,
     ulam_stationary,
 )
-from pmlab import transfer
-from pmlab.grid import _CSR_MIN_NODES, _Gather, _HermiteGather, evaluate_u, hermite_weights
+from pmlab import grid, transfer
+from pmlab.grid import _CSR_MIN_NODES, _Gather, _hermite_read, _operator, evaluate_u
 from pmlab.maps import _g_chain, forward
-from pmlab.transfer import _default_max_iter, _pullback_data, ulam_l1_distance
+from pmlab.transfer import _default_max_iter, ulam_l1_distance
 
 
 def _rel_gap(a, b):
@@ -88,7 +91,7 @@ class TestApplyL:
         assert integrate(apply_L(p3, f)) == pytest.approx(integrate(f), abs=2e-8)
 
     def test_linear(self, p3, mesh3, rng):
-        # the slopes of [u; d] carry no limiter, so L is one fixed matrix
+        # the Hermite slopes carry no limiter, so L is one fixed matrix
         u = GridFunction(mesh3, rng.uniform(0.5, 2.0, mesh3.size), 0.3)
         v = GridFunction(mesh3, np.cos(7.0 * mesh3.nodes) - 0.2, 0.3)
         lhs = apply_L(p3, u + 2.5 * v).values
@@ -253,6 +256,19 @@ def mesh_csr(p3):
     return build_mesh(p3, 8192, 100, 1e-6)
 
 
+def _kernel(p, mesh):
+    """The pullback kernel's operator, built by one read."""
+    transfer._pullback(p, mesh, 0.0, np.ones(mesh.size))
+    return mesh._cache[("pullbacks", p.alpha)]
+
+
+def _entries(L, k):
+    """(cols, weights) of a gather or CSR operator, in rows of k."""
+    if isinstance(L, _Gather):
+        return L.cols.reshape(-1, k), L.weights.reshape(-1, k)
+    return L.indices.reshape(-1, k), L.data.reshape(-1, k)
+
+
 class TestPullbackData:
     """The per-(alpha, mesh) pullback data reproduces the direct formulas
     with either representation (bit for bit, the assembled step to
@@ -260,8 +276,8 @@ class TestPullbackData:
 
     def test_representation_follows_mesh_size(self, p3, mesh3, mesh_csr):
         assert mesh3.size < _CSR_MIN_NODES <= mesh_csr.size
-        assert isinstance(_pullback_data(p3, mesh3)["Pg"], _HermiteGather)
-        assert _pullback_data(p3, mesh_csr)["Pg"].format == "csr"
+        assert isinstance(_kernel(p3, mesh3), _Gather)
+        assert _kernel(p3, mesh_csr).format == "csr"
 
     def test_apply_N_matches_direct_evaluation(self, p3, mesh3, mesh_csr):
         rng = np.random.default_rng(11)
@@ -285,13 +301,55 @@ class TestPullbackData:
     def test_gather_equals_csr_matvec_bitwise(self, p3, mesh_csr):
         x, n = mesh_csr.nodes, mesh_csr.size
         xq = np.concatenate([branch_inverse(p3, x), 0.5 * (x + 1.0), [0.5 * mesh_csr.x_min]])
-        P, G = hermite_weights(mesh_csr, xq), _HermiteGather(mesh_csr, xq)
+        w = np.empty((xq.size, 4))
+        cols = _hermite_read(mesh_csr, xq, w)
+        P, G = _operator(mesh_csr, cols, w), _Gather(cols, w)
         assert P.format == "csr"
         rng = np.random.default_rng(14)
         # the last u makes every product -0.0: both sums start at +0.0
         for u in (rng.standard_normal(n), -np.abs(rng.standard_normal(n)),
                   np.full(n, -0.0)):
             assert (G @ u).tobytes() == (P @ u).tobytes()
+
+    def test_kernel_is_the_preimage_sum_in_rows_of_4(self, p3, mesh3, mesh_csr):
+        # A at s = 0 has row scales exp(0) = 1.0: its row i is node i's read
+        # at g, then at r, and the kernel reads those entries in place
+        rng = np.random.default_rng(17)
+        for mesh in (mesh3, mesh_csr):
+            x, n = mesh.nodes, mesh.size
+            P = _kernel(p3, mesh)
+            cols, w = _entries(mesh._cache[("L", p3.alpha, 0.0, True)], 8)
+            kcols, kw = _entries(P, 4)
+            assert kcols.shape == (2 * n, 4)
+            assert np.shares_memory(kcols, cols) and np.shares_memory(kw, w)
+            g = branch_inverse(p3, x)
+            for s in (0.0, p3.alpha):
+                u = rng.standard_normal(n)
+                wg, wr = transfer._pullback(p3, mesh, s, u)
+                for b, (got, xq) in enumerate(((wg, g), (wr, 0.5 * (x + 1.0)))):
+                    term = np.zeros(n)
+                    for j in range(4 * b, 4 * b + 4):
+                        term += w[:, j] * u[cols[:, j]]
+                    term *= np.exp(s * (np.log(x) - np.log(xq)))
+                    assert got.tobytes() == term.tobytes()
+
+    @pytest.mark.parametrize("n", [1024, 8192])
+    def test_one_set_of_hermite_weights_per_alpha(self, p3, n):
+        mesh = build_mesh(p3, n, 100, 1e-6)
+        rec = compute_density(p3, mesh, tol=1e-8)
+        response_series(p3, rec, "cos", K=16)
+        susceptibility(p3, rec, "cos", 0.5, 16)
+        invariance_experiment(p3, "C3", default_cone_params(p3, rec, k_max=3), 3, rec)
+        a = p3.alpha
+        ops = {k for k, v in mesh._cache.items()
+               if isinstance(v, _Gather) or hasattr(v, "format")}
+        assert ops == {("L", a, a, False), ("L", a, 0.0, True), ("pullbacks", a)}
+        (cols, w), (kcols, kw) = (_entries(mesh._cache[("L", a, 0.0, True)], 8),
+                                  _entries(mesh._cache[("pullbacks", a)], 4))
+        assert np.shares_memory(kcols, cols) and np.shares_memory(kw, w)
+        # L of the density shares A's columns, and keeps its own scaled weights
+        lcols, lw = _entries(mesh._cache[("L", a, a, False)], 8)
+        assert np.shares_memory(lcols, cols) and not np.shares_memory(lw, w)
 
     def test_jet_level0_is_apply_L_exactly(self, p3, mesh3):
         rng = np.random.default_rng(12)
@@ -342,7 +400,7 @@ class TestAssembledStep:
         for s, preimage_sum in ((p3.alpha, False), (0.0, True)):
             step = transfer._step(p3, mesh_csr, s, preimage_sum)
             with monkeypatch.context() as m:
-                m.setattr(transfer, "_CSR_MIN_NODES", n + 1)
+                m.setattr(grid, "_CSR_MIN_NODES", n + 1)
                 G = transfer._assemble(p3, mesh_csr, s, preimage_sum)
             assert isinstance(G, _Gather) and G.cols.shape == (n, 8)
             for u in (rng.standard_normal(n), -np.abs(rng.standard_normal(n)),
@@ -374,6 +432,19 @@ class TestAssembledStep:
 
 
 class TestComputeDensity:
+    @pytest.mark.parametrize("x_min", [1e-150, 1e-300])
+    @pytest.mark.parametrize("alpha", [0.1, 0.25, 0.6])
+    def test_tiny_x_min_reads_no_high_derivative(self, alpha, x_min):
+        # the fourth derivative of g overflows from x_min ~ 1e-120 down
+        # (alpha = 0.25); the solve and the series read only g and g', and
+        # RuntimeWarning is an error here
+        p = MapParams(alpha)
+        mesh = build_mesh(p, 256, 32, x_min)
+        rec = compute_density(p, mesh, tol=1e-4).require_converged()
+        response_series(p, rec, "cos", K=8)
+        response_series_forward(p, rec, "cos", K=8)
+        susceptibility(p, rec, "cos", 0.5, 8)
+
     def test_alpha0_one_step(self):
         p = MapParams(0.0)
         m = build_mesh(p, 512, 32, 1e-8)
