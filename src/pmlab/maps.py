@@ -65,13 +65,24 @@ def forward(p: MapParams, x):
     The left branch is evaluated as x + 2^a x^(1+a) to avoid cancellation
     near the neutral point.
     """
-    a = p.alpha
     xa, scalar = _as_array(x)
-    if not np.all((xa >= 0.0) & (xa <= 1.0)):
-        raise ValueError("forward: x outside [0, 1]")
-    left = xa + 2.0**a * xa ** (1.0 + a)
-    out = np.where(xa < 0.5, left, 2.0 * xa - 1.0)
-    return _ret(out, scalar)
+    _check_unit(xa, "forward", allow_zero=True)
+    return _ret(_forward_unchecked(p.alpha, xa), scalar)
+
+
+def _forward_unchecked(a: float, x: np.ndarray) -> np.ndarray:
+    """The arithmetic of ``forward`` on a float array, without its checks.
+
+    T_a maps [0, 1] into itself in floating point too: just below 1/2 the
+    left branch rounds to at most 1.0.  Monte Carlo orbits step through this
+    and check their range once per block of steps.
+    """
+    left = x ** (1.0 + a)
+    left *= 2.0**a
+    left += x
+    right = 2.0 * x
+    right -= 1.0
+    return np.where(x < 0.5, left, right)
 
 
 def forward_deriv(p: MapParams, x, order: int = 1):

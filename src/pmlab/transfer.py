@@ -87,7 +87,8 @@ __all__ = [
 
 
 class ConvergenceError(RuntimeError):
-    """Iteration failed to reach the requested tolerance."""
+    """A computation failed numerically: an iteration missed its tolerance,
+    or a value it needs overflows double precision."""
 
 
 @dataclass
@@ -331,11 +332,19 @@ def _jet_images(p: MapParams, jet: Jet) -> tuple[Jet, Jet]:
     mesh = jet.mesh
     x = mesh.nodes
     s = jet.levels[0].s
-    _, gp, gpp, gppp, gpppp = mesh.cached(
-        ("g jet", p.alpha), lambda: _frozen(*_g_chain(p, x, 4)))
+    order = jet.order
+    # Level j is read as x^-(s + j) u_j, and g^(j) grows like x^(alpha + 1 - j)
+    # at 0: both are largest at the first node, x_min, and overflow there
+    # when it is tiny.
+    with np.errstate(over="ignore", invalid="ignore"):
+        chain = mesh.cached(("g jet", p.alpha), lambda: _frozen(*_g_chain(p, x, 4)))
+        top = np.float64(mesh.x_min) ** -(s + order)
+    if not np.isfinite([top] + [g_j[0] for g_j in chain[1 : order + 2]]).all():
+        raise ConvergenceError(f"jet of order {order} at alpha={p.alpha:g}: its derivatives "
+                               f"overflow at x_min={mesh.x_min:g}")
+    _, gp, gpp, gppp, gpppp = chain
     wg, wr = zip(*(_pullback(p, mesh, s + i, lv.values)
                    for i, lv in enumerate(jet.levels)))
-    order = jet.order
     out = [wg[0] * gp]
     if order >= 1:
         out.append(wg[1] * gp**2 + x * wg[0] * gpp)

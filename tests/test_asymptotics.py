@@ -21,7 +21,9 @@ from pmlab import (
     observable_mean,
     parse_observable,
 )
+from pmlab import asymptotics
 from pmlab.asymptotics import _fit_decay, _mc_step
+from pmlab.maps import forward
 
 
 @pytest.fixture(scope="module")
@@ -237,6 +239,108 @@ class TestCorrelationDecay:
             correlation_decay(MapParams(0.3), None, "x", "x", 8, method="montecarlo",
                               n_orbits=16, orbit_len=32, burn_in=16)
         assert steps == []
+
+
+def _forward_dithered(p, xs, rng):
+    """``forward``, plus the alpha = 0 dither written out."""
+    xs = forward(p, xs)
+    if p.alpha == 0.0:
+        xs = np.minimum(xs + rng.uniform(0.0, 2.0**-50, xs.size), 1.0 - 1e-16)
+    return xs
+
+
+class TestMonteCarloStep:
+    @pytest.mark.parametrize("a", [0.0, 0.1, 0.25, 0.5, 0.9])
+    def test_step_is_forward_bitwise(self, a):
+        p = MapParams(a)
+        edges = [0.0, 2.0**-1074, np.nextafter(0.5, 0.0), 0.5, 1.0]
+        x = np.concatenate([edges, np.random.default_rng(1).uniform(0.0, 1.0, 10_000)])
+        got = _mc_step(p, x, np.random.default_rng(2))
+        want = _forward_dithered(p, x, np.random.default_rng(2))
+        assert got.tobytes() == want.tobytes()
+
+    def test_unit_interval_is_invariant_in_floating_point(self):
+        # the premise of checking the orbits' range once per block: just
+        # below 1/2 the left branch rounds to at most 1.0
+        x = np.concatenate([np.nextafter(0.5, 0.0) - 2.0**-54 * np.arange(32),
+                            [0.0, 2.0**-1074, 0.5, 1.0]])
+        for a in np.linspace(0.0, 0.999, 2000):
+            y = forward(MapParams(a), x)
+            assert 0.0 <= y.min() and y.max() <= 1.0
+
+    @pytest.mark.parametrize("a", [0.3, 0.0])
+    def test_birkhoff_is_the_forward_loop_bitwise(self, a):
+        p = MapParams(a)
+        mean, se = birkhoff_average(p, "cos", 48, 1000, 100, seed=4)
+        f = parse_observable("cos").f
+        rng = np.random.default_rng(4)
+        xs = rng.uniform(0.0, 1.0, 48)
+        for _ in range(100):
+            xs = _forward_dithered(p, xs, rng)
+        acc = np.zeros(48)
+        for _ in range(900):
+            acc += f(xs)
+            xs = _forward_dithered(p, xs, rng)
+        means = acc / 900
+        assert mean == float(means.mean())
+        assert se == float(means.std(ddof=1) / math.sqrt(48))
+
+    # a chunk of 7 resamples leaves a ragged last chunk of 4
+    @pytest.mark.parametrize("seed", [11, 12])
+    @pytest.mark.parametrize("chunk", [7, None])
+    def test_bootstrap_is_the_gather_and_mean_loop(self, monkeypatch, seed, chunk):
+        n_orbits, N, steps = 96, 12, 400
+        if chunk is not None:
+            monkeypatch.setattr(asymptotics, "_BOOT_CHUNK", chunk * n_orbits)
+        p = MapParams(0.3)
+        crv = correlation_decay(p, None, "x", "x", N, method="montecarlo",
+                                n_orbits=n_orbits, orbit_len=steps + 40, burn_in=40,
+                                seed=seed)
+        # reference: per-step lag sums, then one gather and mean per resample
+        rng = np.random.default_rng(seed)
+        xs = rng.uniform(0.0, 1.0, n_orbits)
+        for _ in range(40):
+            xs = forward(p, xs)
+        traj = np.empty((steps, n_orbits))
+        for t in range(steps):
+            traj[t] = xs
+            xs = forward(p, xs)
+        counts = steps - np.arange(N + 1.0)
+        sums = np.array([(traj[n:] * traj[: steps - n]).sum(axis=0) for n in range(N + 1)])
+        mean = traj.mean(axis=0)
+        per_orbit = sums / counts[:, None] - mean * mean
+        boots = []
+        for _ in range(200):
+            pick = rng.integers(0, n_orbits, n_orbits)
+            b, _ = _fit_decay(per_orbit[:, pick].mean(axis=1), max(N // 4, 1), N)
+            if not math.isnan(b):
+                boots.append(b)
+        ci = (np.percentile(boots, 2.5), np.percentile(boots, 97.5))
+
+        assert np.max(np.abs(crv.values - per_orbit.mean(axis=1))) <= 1e-12
+        assert np.max(np.abs(np.subtract(crv.exponent_ci, ci))) <= 1e-10
+
+    @pytest.mark.parametrize("shift", [2.0, np.nan])
+    @pytest.mark.parametrize("at", [5, 100])
+    @pytest.mark.parametrize("run", [
+        lambda p: correlation_decay(p, None, "x", "x", 8, method="montecarlo",
+                                    n_orbits=16, orbit_len=300, burn_in=20),
+        lambda p: birkhoff_average(p, "x", 16, 300, 20),
+    ], ids=["correlation_decay", "birkhoff_average"])
+    def test_orbit_leaving_the_interval_raises(self, monkeypatch, shift, at, run):
+        # at step 5 (burn-in) or 100 (the sums), mid-block; the orbit never returns
+        steps = []
+        mc_step = asymptotics._mc_step
+
+        def leaky(p, xs, rng):
+            steps.append(1)
+            xs = mc_step(p, xs, rng)
+            return xs + shift if len(steps) == at else xs
+
+        monkeypatch.setattr(asymptotics, "_mc_step", leaky)
+        with pytest.raises(ValueError, match=r"forward: x outside \[0, 1\]"):
+            run(MapParams(0.3))
+        assert len(steps) < at + asymptotics._MC_BLOCK
 
 
 class TestBirkhoff:

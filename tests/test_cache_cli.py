@@ -212,6 +212,20 @@ class TestCli:
         assert lines[1].split(",")[:3] == ["k", "subject", "cone"]
         assert len(lines) == 2 + 6  # header rows + 3k x (L, N)
 
+    # the jet derivatives overflow at such x_min: C3's parameters read an
+    # order-2 jet, its experiment an order-3 jet.  RuntimeWarning is an error
+    # under the test settings, so none may be emitted on the way.
+    @pytest.mark.parametrize("x_min, order", [("1e-300", 2), ("1e-100", 3)])
+    def test_cones_tiny_x_min_is_a_numerical_failure(self, cache_env, tmp_path, capsys,
+                                                     x_min, order):
+        out = tmp_path / "c.csv"
+        code = main(["cones", "--cone", "C3", "--x-min", x_min, "--mesh", "256",
+                     "--orbit-points", "32", "--kmax", "2", "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"jet of order {order}" in err and f"x_min={float(x_min):g}" in err
+        assert not out.exists()
+
     def test_decay_outputs(self, cache_env, tmp_path, capsys):
         prefix = str(tmp_path / "dec")
         code = main(["decay", "--alpha", "0.3", "--mesh", "1024",
