@@ -47,16 +47,25 @@ class OrbitStats:
     lower_c: float
 
     def to_rows(self):
-        a = self.alpha
-        rows = []
-        for ell in range(1, self.ell_max + 1):
-            if a > 0.0:
-                bound = 2.0 ** (1.0 / a**2 + 1.0 / a) * ell ** (-1.0 / a)
-            else:
-                bound = 2.0**-ell
-            xl = self.x_ell[ell]
-            rows.append((ell, xl, bound, (bound - xl) / bound))
-        return rows
+        bound = _upper_bound(self.alpha, self.ell_max)
+        x = self.x_ell[1:]
+        return list(zip(range(1, self.ell_max + 1), x.tolist(), bound.tolist(),
+                        _rel_slack(bound, x).tolist()))
+
+
+def _upper_bound(a: float, ell_max: int) -> np.ndarray:
+    """The bound on x_l for l = 1..ell_max: 2^(1/a^2 + 1/a) l^(-1/a), and at
+    a = 0 the exact orbit 2^-l (0 from l = 1075 on)."""
+    ells = np.arange(1, ell_max + 1, dtype=float)
+    if a == 0.0:
+        return 2.0**-ells
+    return 2.0 ** (1.0 / a**2 + 1.0 / a) * ells ** (-1.0 / a)
+
+
+def _rel_slack(bound: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """(bound - x) / bound, and 0 where x equals the bound: no 0 / 0 where
+    the a = 0 orbit and its bound have both underflowed to 0."""
+    return np.divide(bound - x, bound, out=np.zeros_like(bound), where=bound != x)
 
 
 def _inverse_orbit(p: MapParams, n: int) -> np.ndarray:
@@ -74,14 +83,13 @@ def neutral_orbit(p: MapParams, ell_max: int) -> OrbitStats:
         raise ValueError("neutral_orbit: ell_max must be >= 2")
     a = p.alpha
     x = _inverse_orbit(p, ell_max)
+    bound = _upper_bound(a, ell_max)
+    rel_slack = _rel_slack(bound, x[1:])
     if a == 0.0:
-        exact = 2.0 ** (-np.arange(ell_max + 1.0))
-        ok = bool(np.max(np.abs(x - exact) / exact) < 1e-12)
+        ok = bool(np.max(np.abs(rel_slack)) < 1e-12)
         return OrbitStats(alpha=a, ell_max=ell_max, x_ell=x, fitted_exponent=None,
                           upper_ok=ok, lower_ok=ok, upper_margin=0.0, lower_c=1.0)
     ells = np.arange(1, ell_max + 1, dtype=float)
-    bound = 2.0 ** (1.0 / a**2 + 1.0 / a) * ells ** (-1.0 / a)
-    rel_slack = (bound - x[1:]) / bound
     upper_ok = bool(np.all(x[1:] <= bound))
     lower_scale = (2.0**a * a) ** (-1.0 / a) * ells ** (-1.0 / a)
     lower_c = float(np.min(x[1:] / lower_scale))

@@ -125,7 +125,7 @@ def _write(path, text: str):
 def _write_csv(path, cfg, header, rows):
     lines = [f"# pmlab schema={SCHEMA_VERSION} config={_config_hash(cfg)}",
              ",".join(header)]
-    lines += [",".join(repr(v) if isinstance(v, float) else str(v) for v in row)
+    lines += [",".join(repr(float(v)) if isinstance(v, float) else str(v) for v in row)
               for row in rows]
     _write(path, "\n".join(lines) + "\n")
 

@@ -606,13 +606,8 @@ def mesh_from_dict(d: dict) -> Mesh:
     )
 
 
-def gridfunction_to_dict(f: GridFunction, meta: dict | None = None) -> dict:
-    return {
-        "mesh": mesh_to_dict(f.mesh),
-        "s": f.s,
-        "values": f.values.tolist(),
-        "meta": dict(meta or {}),
-    }
+def gridfunction_to_dict(f: GridFunction) -> dict:
+    return {"mesh": mesh_to_dict(f.mesh), "s": f.s, "values": f.values.tolist(), "meta": {}}
 
 
 def gridfunction_from_dict(d: dict) -> GridFunction:

@@ -26,8 +26,8 @@ from typing import Callable
 
 import numpy as np
 
-from .maps import MapParams, X, forward, forward_deriv
-from .grid import GridFunction, Mesh, _frozen, evaluate, integrate
+from .maps import MapParams, forward
+from .grid import GridFunction, Mesh, integrate
 from .transfer import DensityRecord, _field, _step, apply_M, apply_N, compute_density
 
 __all__ = [
@@ -55,10 +55,6 @@ class Observable:
     name: str
     f: Callable
     fprime: Callable | None = None
-
-    @staticmethod
-    def from_gridfunction(g: GridFunction, name: str = "gridfunction") -> "Observable":
-        return Observable(name=name, f=lambda x: evaluate(g, x))
 
 
 def _endpoint_jump(obs: Observable) -> float:
@@ -98,9 +94,9 @@ def parse_observable(token) -> Observable:
     """Builtin observables: const, x, x^2..x^4 (or x2..x4), cos[m], ind:a:b."""
     if isinstance(token, Observable):
         return token
-    if isinstance(token, GridFunction):
-        return Observable.from_gridfunction(token)
-    t = str(token).strip().lower()
+    if not isinstance(token, str):
+        raise ValueError(f"observable must be a name or an Observable, got {type(token).__name__}")
+    t = token.strip().lower()
     if t in ("const", "1", "one"):
         return Observable("const", f=lambda x: np.ones_like(np.asarray(x, dtype=float)),
                           fprime=lambda x: np.zeros_like(np.asarray(x, dtype=float)))
@@ -329,50 +325,6 @@ def forward_noise_scale(mesh: Mesh, obs) -> float:
     return sd * float(np.sqrt(np.sum(mesh.widths**2)))
 
 
-def _gauss_cells(mesh: Mesh):
-    """4-point Gauss-Legendre nodes/weights on every mesh cell (flattened)."""
-
-    def build():
-        gx, gw = np.polynomial.legendre.leggauss(4)
-        a, b = mesh.nodes[:-1], mesh.nodes[1:]
-        mid = 0.5 * (a + b)[:, None]
-        half = 0.5 * (b - a)[:, None]
-        pts = (mid + half * gx[None, :]).ravel()
-        wts = (half * gw[None, :]).ravel()
-        return _frozen(pts, wts)
-
-    return mesh.cached("gauss", build)
-
-
-def susceptibility_terms_orbitwise(
-    p: MapParams, d: DensityRecord, obs, K: int
-) -> np.ndarray:
-    """Terms s_k = int (psi' o T^k) (T^k)' X N(rho) dx by the orbitwise
-    chain rule on a per-cell Gauss rule.
-
-    Orbits y_{k+1} = T(y_k) and products prod_j T'(y_j) accumulate along
-    the quadrature points.  Exact in spirit but only usable while the
-    expansion 2^k stays below the mesh resolution; used as the cross-check
-    of the preimage-sum evaluation on the early terms.
-    """
-    obs = parse_observable(obs)
-    if obs.fprime is None:
-        raise ValueError(f"susceptibility: observable {obs.name!r} has no derivative")
-    mesh = d.density.mesh
-    pts, wts = _gauss_cells(mesh)
-    nr = apply_N(p, d.density)
-    base = wts * np.asarray(X(p, pts)) * evaluate(nr, pts)
-    orbit = pts.copy()
-    deriv = np.ones_like(pts)
-    terms = []
-    for k in range(K + 1):
-        terms.append(float(np.sum(base * deriv * np.asarray(obs.fprime(orbit), dtype=float))))
-        if k < K:
-            deriv = deriv * np.asarray(forward_deriv(p, orbit, 1))
-            orbit = forward(p, orbit)
-    return np.asarray(terms)
-
-
 def susceptibility(
     p: MapParams,
     d: DensityRecord,
@@ -385,11 +337,12 @@ def susceptibility(
     The substitution y = T^k x on each monotonicity branch turns the k-th
     term into int psi'(y) (A^k W)(y) dy with W = X * N(rho) and A the
     unweighted preimage-sum operator, which the orbitwise chain rule of
-    ``susceptibility_terms_orbitwise`` reproduces within quadrature error
-    as long as the expansion 2^k is mesh-resolved.  A has the constant
-    eigenfunction with eigenvalue 2; for psi with psi(0) = psi(1) that
-    mode integrates against psi' to zero, and it is deflated after every
-    application so that quadrature noise is not amplified by 2^k.
+    ``susceptibility_terms_orbitwise`` (the test oracle in ``tests/oracles.py``)
+    reproduces within quadrature error as long as the expansion 2^k is
+    mesh-resolved.  A has the constant eigenfunction with eigenvalue 2; for
+    psi with psi(0) = psi(1) that mode integrates against psi' to zero, and
+    it is deflated after every application so that quadrature noise is not
+    amplified by 2^k.
 
     For psi(0) != psi(1) the pointwise series genuinely diverges like 2^k
     (the integration by parts behind it picks up jump terms at the branch

@@ -56,13 +56,11 @@ from .grid import (
     GridFunction,
     Mesh,
     differentiate,
-    evaluate,
     _frozen,
     _hermite_read,
     _operator,
     _regroup,
     integrate,
-    integrate_to,
 )
 
 __all__ = [
@@ -82,7 +80,6 @@ __all__ = [
     "build_ulam",
     "ulam_stationary",
     "ulam_mean",
-    "ulam_l1_distance",
 ]
 
 
@@ -515,32 +512,3 @@ def ulam_mean(U: UlamOperator, stationary: GridFunction, fn) -> float:
     cell_avg = (fn(a) + 4.0 * fn(mid) + fn(b)) / 6.0
     return float(np.sum(mass * cell_avg))
 
-
-def ulam_l1_distance(record: DensityRecord, U: UlamOperator,
-                     stationary: GridFunction) -> float:
-    """L1 distance between a grid density and the Ulam piecewise-constant one.
-
-    Cellwise 2-point Gauss sampling of the grid density; the first cell
-    (0, edges[1]] is compared through its mass instead, since the grid
-    density is singular there.
-    """
-    a, b = U.edges[:-1], U.edges[1:]
-    h = b - a
-    off = 0.5 / math.sqrt(3.0)
-    d_ulam = stationary.values
-    total = 0.0
-    for sgn in (-1.0, 1.0):
-        xq = 0.5 * (a[1:] + b[1:]) + sgn * off * h[1:]
-        rho = evaluate(record.density, xq)
-        total += 0.5 * np.sum(h[1:] * np.abs(rho - d_ulam[1:]))
-    # mass difference on the unresolved first cell
-    m_grid = integrate_to(record.density, _nearest_node(record.density.mesh, b[0]))
-    total += abs(m_grid - d_ulam[0] * h[0])
-    return float(total)
-
-
-def _nearest_node(mesh: Mesh, xv: float) -> float:
-    i = int(np.clip(np.searchsorted(mesh.nodes, xv), 0, mesh.size - 1))
-    if i > 0 and abs(mesh.nodes[i - 1] - xv) < abs(mesh.nodes[i] - xv):
-        i -= 1
-    return float(mesh.nodes[i])

@@ -69,6 +69,23 @@ class TestNeutralOrbit:
         for ell, xl, bound, margin in rows:
             assert bound == 2.0**-ell and xl == bound and margin == 0.0
 
+    def test_alpha0_past_the_subnormal_limit(self):
+        # from l = 1075 on the orbit 2^-l and its bound are both 0: the exact
+        # check holds and every margin is 0, with no 0 / 0
+        st = neutral_orbit(MapParams(0.0), 1200)
+        assert st.upper_ok and st.lower_ok
+        assert st.x_ell[1075] == 0.0
+        rows = st.to_rows()
+        assert all(math.isfinite(r[3]) for r in rows)
+        assert rows[1073][1:] == (2.0**-1074, 2.0**-1074, 0.0)
+        assert rows[-1][1:] == (0.0, 0.0, 0.0)
+
+    def test_rows_take_the_bound_of_the_stats(self):
+        # one bound: the rows' smallest margin is the reported upper_margin
+        st = neutral_orbit(MapParams(0.5), 3000)
+        assert min(r[3] for r in st.to_rows()) == st.upper_margin
+        assert all(type(v) is float for r in st.to_rows() for v in r[1:])
+
     def test_validation(self):
         with pytest.raises(ValueError):
             neutral_orbit(MapParams(0.3), 1)

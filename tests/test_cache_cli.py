@@ -283,6 +283,24 @@ class TestCli:
             ["P_corr.csv", "P_orbit.csv", "P_stats.json"]
         assert not list((tmp_path / "cache").glob("density-*.json"))
 
+    @pytest.mark.parametrize("alpha, ell_max", [("0.3", 64), ("0", 1200)])
+    def test_decay_orbit_csv_fields_are_plain_floats(self, cache_env, tmp_path, capsys,
+                                                     alpha, ell_max):
+        # numpy scalars are written as Python floats (0.5, not np.float64(0.5)),
+        # and at alpha = 0 the orbit past 2^-1074 has margin 0, not NaN
+        prefix = str(tmp_path / "P")
+        code = main(["decay", "--alpha", alpha, "--method", "montecarlo",
+                     "--N", "20", "--orbits", "16", "--orbit-len", "1024",
+                     "--burn-in", "64", "--ell-max", str(ell_max), "--out", prefix])
+        assert code == 0
+        lines = (tmp_path / "P_orbit.csv").read_text().splitlines()
+        assert lines[1] == "ell,x_ell,bound,margin" and len(lines) == ell_max + 2
+        for line in lines[2:]:
+            assert "np." not in line
+            assert np.all(np.isfinite([float(v) for v in line.split(",")]))
+        stats = json.loads((tmp_path / "P_stats.json").read_text())
+        assert stats["neutral_orbit"]["upper_ok"] is True
+
     @pytest.mark.parametrize("methods", ["bogus", ","])
     def test_response_unknown_method_exit1(self, cache_env, tmp_path, capsys, methods):
         out = tmp_path / "r.csv"

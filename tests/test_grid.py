@@ -326,11 +326,11 @@ class TestSerialization:
 
     def test_gridfunction_round_trip(self, mesh, rng):
         f = GridFunction(mesh, rng.uniform(0, 1, mesh.size), 0.25)
-        d = json.loads(json.dumps(gridfunction_to_dict(f, {"tag": "test"})))
+        d = json.loads(json.dumps(gridfunction_to_dict(f)))
         f2 = gridfunction_from_dict(d)
         assert np.array_equal(f2.values, f.values)
         assert f2.s == f.s
-        assert d["meta"]["tag"] == "test"
+        assert d["meta"] == {}
 
 
 class TestEvaluateRefinement:

@@ -27,12 +27,9 @@ from pmlab import (
     susceptibility,
 )
 from pmlab.maps import X
-from pmlab.response import (
-    _endpoint_jump,
-    _zero_mean_source,
-    forward_noise_scale,
-    susceptibility_terms_orbitwise,
-)
+from pmlab.response import _endpoint_jump, _zero_mean_source, forward_noise_scale
+
+from oracles import gridfunction_observable, susceptibility_terms_orbitwise
 
 
 @pytest.fixture(scope="module")
@@ -77,11 +74,13 @@ class TestObservables:
             with pytest.raises(ValueError):
                 parse_observable(bad)
 
-    def test_gridfunction_observable(self, rec25):
-        mesh = rec25.density.mesh
-        g = GridFunction(mesh, np.minimum(1.0, 4.0 * np.maximum(mesh.nodes - 0.25, 0.0)), 0.0)
-        obs = parse_observable(g)
-        assert obs.f(0.5) == pytest.approx(1.0)
+    def test_parse_rejects_other_types(self):
+        # the message names the type, not a repr of the token
+        mesh = build_mesh(MapParams(0.25), 64, 10, 1e-4)
+        g = GridFunction(mesh, np.ones(mesh.size), 0.0)
+        for bad, kind in ((g, "GridFunction"), (1, "int"), (None, "NoneType")):
+            with pytest.raises(ValueError, match=f"got {kind}$"):
+                parse_observable(bad)
 
 
 class TestResponseSource:
@@ -378,7 +377,7 @@ class TestIndependentOracles:
     def test_gridfunction_observable_series(self, p25, rec25):
         mesh = rec25.density.mesh
         g = GridFunction(mesh, np.clip((mesh.nodes - 0.25) * 4.0, 0.0, 1.0), 0.0)
-        res = response_series(p25, rec25, g, K=128)
+        res = response_series(p25, rec25, gridfunction_observable(g), K=128)
         ref = response_series(
             p25, rec25,
             Observable("ramp", f=lambda t: np.clip((np.asarray(t) - 0.25) * 4.0,
