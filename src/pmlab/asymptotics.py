@@ -15,7 +15,7 @@ import numpy as np
 
 from .maps import MapParams, _check_unit, _forward_unchecked, branch_inverse, forward_deriv
 from .response import observable_mean, parse_observable
-from .transfer import DensityRecord, _step
+from .transfer import ConvergenceError, DensityRecord, _L
 
 __all__ = [
     "OrbitStats",
@@ -33,8 +33,10 @@ class OrbitStats:
 
     ``upper_margin`` is the worst relative slack in the proven bound
     x_l <= 2^(1/a^2 + 1/a) l^(-1/a); ``lower_c`` the fitted constant in
-    x_l >= c (2^a a)^(-1/a) l^(-1/a) (the bound constant is not explicit).
-    At a = 0 the orbit is exactly 2^-l and no power law is fitted.
+    x_l >= c (2^a a)^(-1/a) l^(-1/a) (the bound constant is not explicit;
+    below a ~ 0.0068 c is under the double range, and reads 0 with
+    ``lower_ok`` false).  At a = 0 the orbit is exactly 2^-l and no power
+    law is fitted.
     """
 
     alpha: float
@@ -55,17 +57,22 @@ class OrbitStats:
 
 def _upper_bound(a: float, ell_max: int) -> np.ndarray:
     """The bound on x_l for l = 1..ell_max: 2^(1/a^2 + 1/a) l^(-1/a), and at
-    a = 0 the exact orbit 2^-l (0 from l = 1075 on)."""
+    a = 0 the exact orbit 2^-l (0 from l = 1075 on).  Formed in log space,
+    since the constant exceeds a double below a ~ 0.0316: +inf only where
+    the bound itself does."""
     ells = np.arange(1, ell_max + 1, dtype=float)
     if a == 0.0:
         return 2.0**-ells
-    return 2.0 ** (1.0 / a**2 + 1.0 / a) * ells ** (-1.0 / a)
+    with np.errstate(over="ignore"):
+        return np.exp2(1.0 / a**2 + 1.0 / a - np.log2(ells) / a)
 
 
 def _rel_slack(bound: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """(bound - x) / bound, and 0 where x equals the bound: no 0 / 0 where
-    the a = 0 orbit and its bound have both underflowed to 0."""
-    return np.divide(bound - x, bound, out=np.zeros_like(bound), where=bound != x)
+    """(bound - x) / bound: 0 where x equals the bound (no 0 / 0 where the
+    a = 0 orbit and its bound have both underflowed to 0), 1 where the bound
+    is +inf."""
+    return np.divide(bound - x, bound, out=np.isinf(bound).astype(float),
+                     where=(bound != x) & np.isfinite(bound))
 
 
 def _inverse_orbit(p: MapParams, n: int) -> np.ndarray:
@@ -83,6 +90,10 @@ def neutral_orbit(p: MapParams, ell_max: int) -> OrbitStats:
         raise ValueError("neutral_orbit: ell_max must be >= 2")
     a = p.alpha
     x = _inverse_orbit(p, ell_max)
+    tiny = np.finfo(float).tiny
+    if a > 0.0 and x[-1] < tiny:  # subnormal: it stalls or underflows to 0
+        raise ConvergenceError(f"neutral orbit at alpha={a:g} leaves the normal "
+                               f"range at step {int(np.argmax(x < tiny))}")
     bound = _upper_bound(a, ell_max)
     rel_slack = _rel_slack(bound, x[1:])
     if a == 0.0:
@@ -91,8 +102,8 @@ def neutral_orbit(p: MapParams, ell_max: int) -> OrbitStats:
                           upper_ok=ok, lower_ok=ok, upper_margin=0.0, lower_c=1.0)
     ells = np.arange(1, ell_max + 1, dtype=float)
     upper_ok = bool(np.all(x[1:] <= bound))
-    lower_scale = (2.0**a * a) ** (-1.0 / a) * ells ** (-1.0 / a)
-    lower_c = float(np.min(x[1:] / lower_scale))
+    # log x_l - log((2^a a l)^(-1/a)): the constant exceeds a double below a ~ 0.007
+    lower_c = float(np.exp(np.min(np.log(x[1:]) + np.log(2.0**a * a * ells) / a)))
     lo = max(2, ell_max // 10)
     slope = np.polyfit(np.log(ells[lo:]), np.log(x[1 + lo :]), 1)[0]
     return OrbitStats(
@@ -233,7 +244,7 @@ def correlation_decay(
     if method == "operator":
         if d is None:
             raise ValueError("correlation_decay: the operator method needs a density")
-        rho = d.require_converged().density
+        rho = d.require_params(p).require_converged().density
         mesh = rho.mesh
         x = mesh.nodes
         phi_vals = np.asarray(phi_o.f(x), dtype=float)
@@ -243,12 +254,12 @@ def correlation_decay(
         # vanishing-near-zero support property and degrade the decay rate
         # from n^(-1/a) to the generic n^(1 - 1/a)
         mean_phi, mean_psi = observable_mean(phi_o, d), observable_mean(psi_o, d)
-        q, step, w = mesh.quadrature(rho.s), _step(p, mesh, rho.s), phi_vals * rho.values
+        q, L, w = mesh.quadrature(rho.s), _L(p, mesh, rho.s), phi_vals * rho.values
         vals = np.empty(N + 1)
         for n in range(N + 1):
             vals[n] = float(q @ (psi_vals * w)) - mean_phi * mean_psi
             if n < N:
-                w = step(w)
+                w = L @ w
         if np.max(np.abs(vals)) == 0.0:
             raise ValueError("correlation_decay: all correlations vanish")
         expo, ci = _fit_decay(vals, max(N // 4, 1), N)

@@ -147,8 +147,11 @@ def _get_density(cfg, alpha=None):
 
     Only converged records are stored, and the cache serves no other (a
     stored unconverged one, from an older version, is a miss): ``max_iter``
-    is not part of the key.  A recomputed record may still be unconverged;
-    callers gate it with ``rec.require_converged()``.
+    is not part of the key.  Nor does it serve a record of another alpha,
+    tol or mesh nodes than the request's (a copied file, or a mesh change
+    without a schema bump): that is a miss too, recomputed and overwritten.
+    A recomputed record may still be unconverged; callers gate it with
+    ``rec.require_converged()``.
     """
     alpha = cfg["alpha"] if alpha is None else alpha
     p = MapParams(alpha)
@@ -156,7 +159,8 @@ def _get_density(cfg, alpha=None):
     key = cache_key(alpha, mesh.spec(), cfg["tol"])
     cache = DensityCache(resolve_cache_dir(cfg["cache_dir"]))
     rec = cache.get(key)
-    if rec is None:
+    if (rec is None or rec.params != p or rec.tol != cfg["tol"]
+            or not np.array_equal(rec.density.mesh.nodes, mesh.nodes)):
         rec = compute_density(p, mesh, tol=cfg["tol"], max_iter=cfg["max_iter"])
         if rec.converged:
             cache.put(key, rec)

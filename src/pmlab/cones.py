@@ -163,8 +163,6 @@ def _check(cone_id, f, params, subject, derivs, density=None) -> ConeReport:
     fills their "x_check" entry (None) in place.
     """
     cone = _CONES[cone_id]
-    if cone.mass and density.params.alpha != params["alpha"]:
-        raise ValueError(f"check_{cone_id}: density was computed for another alpha")
     mask, xc = _window(f)
     x = f.mesh.nodes[mask]
     if derivs is None:
@@ -227,7 +225,7 @@ def check_Cstar(f: GridFunction, p: MapParams, density: DensityRecord, a: float,
     affect the verdict.
     """
     return _check("Cstar", f, {"alpha": p.alpha, "a": a, "x_check": None},
-                  subject, derivs, density)
+                  subject, derivs, density.require_params(p))
 
 
 def check_Cstar1(f: GridFunction, p: MapParams, density: DensityRecord, a: float,
@@ -236,7 +234,7 @@ def check_Cstar1(f: GridFunction, p: MapParams, density: DensityRecord, a: float
     bound; the decreasing condition of C_* is dropped."""
     return _check("Cstar1", f,
                   {"alpha": p.alpha, "a": a, "b1": b1, "x_check": None},
-                  subject, derivs, density)
+                  subject, derivs, density.require_params(p))
 
 
 # ---------------------------------------------------------------------------
@@ -347,6 +345,7 @@ def default_cone_params(
     known, so the values are recorded in report metadata, not canonical.
     """
     _check_k_max("default_cone_params", k_max)
+    density.require_params(p)
     a_par = p.alpha
     mesh = density.density.mesh
     mask, _ = _window(density.density)
@@ -397,6 +396,7 @@ def invariance_experiment(
     _check_k_max("invariance_experiment", k_max)
     if cone_id not in _CONES:
         raise ValueError(f"invariance_experiment: unknown cone {cone_id!r}")
+    density.require_params(p)
     reports = []
     jet, _ = _jet_images(p, jet_one(p, density.density.mesh, _CONES[cone_id].order))
     for k in range(1, k_max + 1):

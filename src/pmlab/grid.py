@@ -10,9 +10,10 @@ Differentiation uses the product rule with nonuniform stencils on u; the
 Point evaluation uses piecewise-cubic Hermite interpolation of u with
 3-point slopes, a read of u at 4 nodes per point whose weights add to
 exactly 1 (``_hermite_read``).  ``_operator`` turns rows of such reads into
-an operator on u, and is the one place that picks its form: a numpy gather
-below ``_CSR_MIN_NODES`` nodes, which never loads scipy, and CSR from there
-on, with the same bits; ``_regroup`` reads its entries in shorter rows.
+a matrix on u, applied with ``@``, and is the one place that picks its form:
+a numpy gather below ``_CSR_MIN_NODES`` nodes, which never loads scipy, and
+CSR from there on, with the same bits.  Either form holds its entries flat,
+in row order, as ``indices`` and ``data``.
 
 Everything that depends only on the mesh (cell widths, x^(-s) moments and
 quadrature vectors, slope and stencil weights, and the assembled operators
@@ -336,7 +337,7 @@ def hermite_slopes(mesh: Mesh, u: np.ndarray) -> np.ndarray:
     return d
 
 
-# Below this many mesh nodes ``_operator`` (the assembled L and the kernel)
+# Below this many mesh nodes ``_operator`` (L_s, A and the pullback kernel)
 # builds a numpy gather, at and above it a scipy CSR matrix.  Importing
 # scipy.sparse adds 0.13-0.22 s and 16-22 MB of peak RSS to a fresh process;
 # the gather's ``@`` of an 8-entry L step takes 3.1-4.0x the time of the
@@ -351,10 +352,12 @@ _CSR_MIN_NODES = 6144
 class _Gather:
     """Rows of k weighted reads as a numpy gather: row r of G @ v adds
     weights[r, j] * v[cols[r, j]] for j = 0..k-1 in order to a zero start, as
-    the CSR matvec adds a row of the same entries, so both give the same bits."""
+    the CSR matvec adds a row of the same entries, so both give the same bits.
+    ``indices`` and ``data`` are the same entries flat, under CSR's names."""
 
     def __init__(self, cols: np.ndarray, weights: np.ndarray):
         self.cols, self.weights = _frozen(cols, weights)
+        self.indices, self.data = cols.ravel(), weights.ravel()
 
     def __matmul__(self, v: np.ndarray) -> np.ndarray:
         out = np.zeros(self.cols.shape[0])
@@ -379,13 +382,6 @@ def _operator(mesh: Mesh, cols: np.ndarray, weights: np.ndarray):
                        np.arange(0, m * k + 1, k, dtype=np.int32)), shape=(m, mesh.size))
     _frozen(P.data, P.indices, P.indptr)
     return P
-
-
-def _regroup(mesh: Mesh, P, k: int):
-    """The entries of an ``_operator`` P as rows of k, in the same order and
-    over P's own weight and column arrays."""
-    cols, w = (P.cols, P.weights) if isinstance(P, _Gather) else (P.indices, P.data)
-    return _operator(mesh, cols.reshape(-1, k), w.reshape(-1, k))
 
 
 def _hermite_read(mesh: Mesh, xq: np.ndarray, w: np.ndarray) -> np.ndarray:

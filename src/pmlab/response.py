@@ -28,7 +28,7 @@ import numpy as np
 
 from .maps import MapParams, forward
 from .grid import GridFunction, Mesh, integrate
-from .transfer import DensityRecord, _field, _step, apply_M, apply_N, compute_density
+from .transfer import DensityRecord, _A, _L, _field, apply_M, apply_N, compute_density
 
 __all__ = [
     "Observable",
@@ -163,7 +163,7 @@ def response_source(p: MapParams, d: DensityRecord) -> GridFunction:
     x^(-1-a) of rho'.  Returned with exponent 0; its integral vanishes up
     to quadrature error since X(0) = X(1) = 0.
     """
-    d.require_converged()
+    d.require_params(p).require_converged()
     return GridFunction(d.density.mesh, -apply_M(p, d.density).full_values(), 0.0)
 
 
@@ -269,17 +269,17 @@ def response_series(
     """
     _check_K("response_series", K)
     obs = parse_observable(obs)
-    d.require_converged()
+    d.require_params(p).require_converged()
     mesh = d.density.mesh
     psi = np.asarray(obs.f(mesh.nodes), dtype=float)
     y = _zero_mean_source(p, d)
-    q, step, w = mesh.quadrature(y.s), _step(p, mesh, y.s), y.values
+    q, L, w = mesh.quadrature(y.s), _L(p, mesh, y.s), y.values
     terms = []
     for k in range(K + 1):
         terms.append(float(q @ (psi * w)))
         if k == K:
             break
-        w = step(w)
+        w = L @ w
         if k >= 16 and k % 8 == 0:
             _, tail = _fit_tail(np.asarray(terms))
             if not math.isinf(tail) and abs(tail) < tol:
@@ -302,7 +302,7 @@ def response_series_forward(
     """
     _check_K("response_series_forward", K)
     obs = parse_observable(obs)
-    d.require_converged()
+    d.require_params(p).require_converged()
     mesh = d.density.mesh
     y = _zero_mean_source(p, d)
     orbit = mesh.nodes.copy()
@@ -363,18 +363,18 @@ def susceptibility(
             f"susceptibility series for {obs.name!r} diverges like 2^k: "
             f"psi(1) - psi(0) = {jump:.3g} != 0 feeds the branch-boundary jump terms"
         )
-    d.require_converged()
+    d.require_params(p).require_converged()
     mesh = d.density.mesh
     psi_p = np.asarray(obs.fprime(mesh.nodes), dtype=float)
     nr = apply_N(p, d.density)
-    q, step = mesh.quadrature(0.0), _step(p, mesh, 0.0, preimage_sum=True)
+    q, A = mesh.quadrature(0.0), _A(p, mesh)
     w = _field(p, mesh, "X") * nr.full_values()
     terms = []
     for k in range(K + 1):
         terms.append(float(q @ (psi_p * w)))
         if k == K:
             break
-        w = step(w)
+        w = A @ w
         w -= q @ w  # deflate the A 1 = 2 mode
     zs = z ** np.arange(len(terms))
     return float(np.sum(zs * np.asarray(terms)))

@@ -12,29 +12,26 @@ X, X', X'', d_a X and d_a X' they use are listed in ``_FIELDS``, and
 ``_field`` evaluates one of them at the nodes once per (alpha, mesh), in
 ``Mesh.cached``, so a process computes only the fields it reads.
 
-``_power_iterate`` is the one stationary-vector loop (renormalized power
-iteration, L1 successive-difference stop).  ``compute_density`` runs it
-on L^k 1 through ``_step``; convergence is polynomial in k for a > 0, so
-the record carries a ``converged`` flag.  ``build_ulam`` assembles the
-row-stochastic Ulam matrix from exact branchwise preimage intersections,
-an independent discretization of the same operator, and
-``ulam_stationary`` runs the same loop on it.
+Each alpha holds two matrices on the nodal u, in ``Mesh.cached``, and every
+loop applies them with ``@``: ``_L(p, mesh, s)``, u -> the u of L(x^(-s) u),
+and ``_A(p, mesh)``, the preimage sum A u = u(g) + u(r).  Row i of both is
+the Hermite reads of u at g(x_i) and (x_i + 1)/2 (``grid._hermite_read``, 4
+entries each) side by side, over one shared column array; L_s scales them
+by g'(x/g)^s and (x/r)^s / 2, A not at all.  ``grid._operator`` picks the
+form.  ``_power_iterate`` is the one stationary-vector loop (renormalized
+power iteration, L1 successive-difference stop): ``compute_density`` runs
+it with ``_L`` on L^k 1, and as convergence is polynomial in k for a > 0
+the record carries a ``converged`` flag; ``ulam_stationary`` runs it with
+the row-stochastic Ulam matrix of ``build_ulam`` (exact branchwise
+preimage intersections), an independent discretization.
 
-``_step``, u -> L(x^(-s) u) or A on raw nodal arrays, is the step of
-``apply_L``, ``apply_preimage_sum`` and every L^k loop: one matvec of
-L_s = diag(g' (x/g)^s) P_g + diag((x/r)^s / 2) P_r (A: weights 1), where
-P_g and P_r are the Hermite reads of u at g(x_i) and (x_i + 1)/2
-(``grid._hermite_read``, 4 entries a row) side by side, which ``_assemble``
-builds once per (alpha, s) in ``Mesh.cached`` (``grid._operator`` picks
-the gather or CSR form).  ``_pullback`` is the pullback kernel of
-``apply_N`` (and so ``apply_M``) and ``_jet_images``: for f = x^(-s) u it
-reads u through the rows of the preimage sum A at s = 0, whose row scales
-are 1, split into their two branch terms P_g u and P_r u (``grid._regroup``,
-over A's own arrays), and applies the ratios (x/g)^s, (x/r)^s.  So each
-alpha has one set of Hermite weights, and the kernel is exact on constants.
-``_jet_images`` reads a jet once for both images, N and L = N + the
-affine-branch term (``jet_apply`` returns L), so the cone experiment reads
-each iterate L^k(1) once.
+``_pullback`` is the pullback kernel of ``apply_N`` (and so ``apply_M``)
+and ``_jet_images``: for f = x^(-s) u it reads A's entries in rows of 4,
+the branch terms P_g u and P_r u apart, and applies the ratios (x/g)^s,
+(x/r)^s.  So each alpha has one set of Hermite weights, and the kernel is
+exact on constants.  ``_jet_images`` reads a jet once for both images, N
+and L = N + the affine-branch term (``jet_apply`` returns L), so the cone
+experiment reads each iterate L^k(1) once.
 """
 
 import math
@@ -59,7 +56,6 @@ from .grid import (
     _frozen,
     _hermite_read,
     _operator,
-    _regroup,
     integrate,
 )
 
@@ -97,7 +93,8 @@ class DensityRecord:
     the quadrature integral after the final renormalization.
     ``converged`` is derived from ``residual`` and ``tol``, and
     ``require_converged()`` is the one gate for every computation that
-    needs the invariant density.
+    needs the invariant density; one that also takes the map's parameters
+    checks first that they are the record's (``require_params(p)``).
     """
 
     params: MapParams
@@ -118,6 +115,13 @@ class DensityRecord:
                 f"density at alpha={self.params.alpha:g} not converged "
                 f"(residual {self.residual:.3e} > tol {self.tol:.1e})"
             )
+        return self
+
+    def require_params(self, p: MapParams) -> "DensityRecord":
+        """This record, or ``ValueError`` if it was computed at another alpha."""
+        if self.params.alpha != p.alpha:
+            raise ValueError(f"density computed at alpha={self.params.alpha:g} "
+                             f"used at alpha={p.alpha:g}")
         return self
 
     def envelope_band(self, x_lo: float = 0.0) -> tuple[float, float]:
@@ -148,43 +152,45 @@ def _ratios(p: MapParams, mesh: Mesh, s: float):
 def _pullback(p: MapParams, mesh: Mesh, s: float, u: np.ndarray):
     """The one pullback kernel: for f = x^(-s) u, the branch reads
     x^s f(g(x)) = (x/g)^s u(g(x)) and x^s f(r(x)) at the nodes, as fresh
-    arrays.  It reads A at s = 0 (row scales exp(0) = 1.0) in rows of 4."""
-    P = mesh.cached(("pullbacks", p.alpha),
-                    lambda: _regroup(mesh, _cached_L(p, mesh, 0.0, True), 4))
+    arrays.  It reads the entries of ``_A`` in rows of 4."""
+    A = _A(p, mesh)
+    P = mesh.cached(("pullbacks", p.alpha), lambda: _operator(
+        mesh, A.indices.reshape(-1, 4), A.data.reshape(-1, 4)))
     w = (P @ u).reshape(mesh.size, 2)
     eg, er = _ratios(p, mesh, s)
     return w[:, 0] * eg, w[:, 1] * er
 
 
-def _assemble(p: MapParams, mesh: Mesh, s: float, preimage_sum: bool):
-    """``_step``'s operator: the reads of u at g(x) and r(x) = (x+1)/2
-    (``grid._hermite_read``, 4 weights each) side by side, each times its
-    row scale, as a ``grid._operator``."""
-    n, x, g = mesh.size, mesh.nodes, _g_nodes(p, mesh)
+def _reads(p: MapParams, mesh: Mesh):
+    """(cols, weights), shape (n, 8): the reads of u at g(x) and at
+    r(x) = (x+1)/2 (``grid._hermite_read``, 4 entries each) side by side.
+    The weights are fresh; every operator of this alpha shares the columns."""
+    n, x, g = mesh.size, mesh.nodes, _g_nodes(p, mesh)[0]
     data = np.empty((n, 8))
     cols = np.hstack([_hermite_read(mesh, xq, data[:, 4 * b:4 * b + 4])
-                      for b, xq in enumerate((g[0], 0.5 * (x + 1.0)))])
-    eg, er = _ratios(p, mesh, s)
-    data[:, :4] *= (eg if preimage_sum else g[1] * eg)[:, None]
-    data[:, 4:] *= (er if preimage_sum else 0.5 * er)[:, None]
-    # every (s, preimage_sum) of this alpha shares the columns
-    cols = mesh.cached(("L cols", p.alpha), lambda: _frozen(cols))
-    return _operator(mesh, cols, data)
+                      for b, xq in enumerate((g, 0.5 * (x + 1.0)))])
+    return mesh.cached(("L cols", p.alpha), lambda: _frozen(cols)), data
 
 
-def _cached_L(p: MapParams, mesh: Mesh, s: float, preimage_sum: bool):
-    """``_assemble``'s operator, once per (alpha, s, preimage_sum) in the mesh's cache."""
-    return mesh.cached(("L", p.alpha, s, preimage_sum),
-                       lambda: _assemble(p, mesh, s, preimage_sum))
+def _A(p: MapParams, mesh: Mesh):
+    """The preimage sum, A u = u(g(x)) + u(r(x)): ``_reads`` as a
+    ``grid._operator``, once per alpha in the mesh's cache."""
+    return mesh.cached(("A", p.alpha), lambda: _operator(mesh, *_reads(p, mesh)))
 
 
-def _step(p: MapParams, mesh: Mesh, s: float, preimage_sum: bool = False):
-    """The step of every L^k loop, nodal u -> the u of L(x^(-s) u), i.e.
-    g' w_g + w_r / 2 for the kernel's reads w, or of A(x^(-s) u) = w_g + w_r
-    with ``preimage_sum``: one matvec of ``_cached_L``.  Each call returns a
-    fresh array."""
-    L = _cached_L(p, mesh, s, preimage_sum)
-    return lambda u: L @ u
+def _L(p: MapParams, mesh: Mesh, s: float):
+    """L_s, nodal u -> the u of L(x^(-s) u): ``_reads`` with rows scaled by
+    g'(x/g)^s and (x/r)^s / 2, as a ``grid._operator``, once per (alpha, s)
+    in the mesh's cache.  ``L @ u`` is a fresh array."""
+
+    def build():
+        cols, data = _reads(p, mesh)
+        eg, er = _ratios(p, mesh, s)
+        data[:, :4] *= (_g_nodes(p, mesh)[1] * eg)[:, None]
+        data[:, 4:] *= (0.5 * er)[:, None]
+        return _operator(mesh, cols, data)
+
+    return mesh.cached(("L", p.alpha, s), build)
 
 
 def apply_N(p: MapParams, f: GridFunction) -> GridFunction:
@@ -196,7 +202,7 @@ def apply_N(p: MapParams, f: GridFunction) -> GridFunction:
 
 def apply_L(p: MapParams, f: GridFunction) -> GridFunction:
     """Full transfer operator; equals apply_N plus the affine-branch term."""
-    return GridFunction(f.mesh, _step(p, f.mesh, f.s)(f.values), f.s)
+    return GridFunction(f.mesh, _L(p, f.mesh, f.s) @ f.values, f.s)
 
 
 def apply_preimage_sum(p: MapParams, f: GridFunction) -> GridFunction:
@@ -209,7 +215,7 @@ def apply_preimage_sum(p: MapParams, f: GridFunction) -> GridFunction:
     """
     if f.s != 0.0:
         raise ValueError("apply_preimage_sum: requires singular exponent 0")
-    return GridFunction(f.mesh, _step(p, f.mesh, 0.0, preimage_sum=True)(f.values), 0.0)
+    return GridFunction(f.mesh, _A(p, f.mesh) @ f.values, 0.0)
 
 
 _FIELDS = {"X": X, "X_prime": X_prime, "X_double_prime": X_double_prime,
@@ -383,16 +389,16 @@ def _check_max_iter(name: str, max_iter: int | None, none_ok: bool = True) -> No
         raise ValueError(f"{name}: max_iter must be >= 1, got {max_iter!r}")
 
 
-def _power_iterate(step, q, u, tol, max_iter):
-    """The one stationary-vector loop: u <- step(u) / (q . step(u)) from
+def _power_iterate(op, q, u, tol, max_iter):
+    """The one stationary-vector loop: u <- op @ u / (q . op @ u) from
     u / (q . u) until the residual q . |u_new - u| is <= tol (a NaN one
-    keeps iterating) or ``max_iter`` steps ran; ``step`` returns a fresh
+    keeps iterating) or ``max_iter`` steps ran; ``op @ u`` is a fresh
     array.  Returns (u, iterations, residual)."""
     u = u * (1.0 / (q @ u))
     diff = np.empty_like(u)  # reused buffer
     residual, iterations = math.inf, 0
     for iterations in range(1, max_iter + 1):
-        nxt = step(u)
+        nxt = op @ u
         nxt *= 1.0 / (q @ nxt)
         residual = float(q @ np.abs(np.subtract(nxt, u, out=diff), out=diff))
         u = nxt
@@ -422,7 +428,7 @@ def compute_density(
     if max_iter is None:
         max_iter = _default_max_iter(a, tol)
     u, iterations, residual = _power_iterate(
-        _step(p, mesh, a), mesh.quadrature(a), mesh.nodes**a, tol, max_iter)
+        _L(p, mesh, a), mesh.quadrature(a), mesh.nodes**a, tol, max_iter)
     f = GridFunction(mesh, u, a)
     return DensityRecord(params=p, density=f, iterations=iterations,
                          residual=residual, normalization=integrate(f),
@@ -496,7 +502,7 @@ def ulam_stationary(
         raise ValueError(f"ulam_stationary: tol must be finite and > 0, got {tol!r}")
     _check_max_iter("ulam_stationary", max_iter, none_ok=False)
     ones = np.ones(U.widths.size)  # q, and the uniform start
-    v, iterations, resid = _power_iterate(U.matrix.T.tocsr().dot, ones, ones,
+    v, iterations, resid = _power_iterate(U.matrix.T.tocsr(), ones, ones,
                                           tol, max_iter)
     if not resid <= tol:
         raise ConvergenceError(

@@ -1,5 +1,6 @@
 """Neutral orbit, distortion, correlation decay, Birkhoff oracle."""
 
+import decimal
 import math
 import warnings
 
@@ -89,6 +90,45 @@ class TestNeutralOrbit:
     def test_validation(self):
         with pytest.raises(ValueError):
             neutral_orbit(MapParams(0.3), 1)
+
+    @pytest.mark.parametrize("a, ell_max", [(0.005, 100), (0.005, 1000), (0.02, 100),
+                                            (0.02, 10000), (0.031, 100), (0.031, 10000)])
+    def test_small_alpha_bound_past_the_double_range(self, a, ell_max):
+        # 2^(1/a^2 + 1/a) exceeds a double below a ~ 0.0316: a row's bound is
+        # +inf (slack 1) only where the bound itself is, and nothing warns
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            st = neutral_orbit(MapParams(a), ell_max)
+            rows = st.to_rows()
+        ell, x, bound, margin = (np.array(col) for col in zip(*rows))
+        assert st.upper_ok and np.all((0.0 < x) & (x <= bound))
+        assert np.isinf(bound[0]) and np.all(margin[np.isinf(bound)] == 1.0)
+        assert np.all((0.0 <= margin) & (margin <= 1.0))
+        assert margin.min() == st.upper_margin
+        assert math.isfinite(st.fitted_exponent) and 0.0 <= st.lower_c < 1.0
+        assert st.lower_ok == (st.lower_c > 0.0) == (a > 0.0068)
+        # the bounds against 40-digit decimal arithmetic
+        with decimal.localcontext() as ctx:
+            ctx.prec = 40
+            e = decimal.Decimal(1.0 / a**2 + 1.0 / a)
+            for k in [*range(0, ell_max, 97), ell_max - 1]:
+                ref = 2 ** e * decimal.Decimal(int(ell[k])) ** (-1 / decimal.Decimal(a))
+                if np.isinf(bound[k]):
+                    assert ref > decimal.Decimal(np.finfo(float).max)
+                else:
+                    assert bound[k] == pytest.approx(float(ref), rel=1e-10)
+        if a >= 0.02:  # the lower constant is a double there: x_l >= c l^(-1/a)
+            scale = (2.0**a * a) ** (-1.0 / a) * ell ** (-1.0 / a)
+            assert st.lower_c == pytest.approx(np.min(x / scale), rel=1e-12)
+
+    @pytest.mark.parametrize("a, step", [(1e-4, 1049), (0.003, 2789), (0.005, 7027)])
+    def test_orbit_leaving_the_normal_range_raises(self, a, step):
+        # at 1e-4 the orbit underflows to 0; at 0.003 and 0.005 it stalls at a
+        # subnormal fixed point of the rounded branch inverse, and a fit to it
+        # would read an exponent of about -105 against -1/a
+        with pytest.raises(ConvergenceError, match=rf"alpha={a:g} leaves the normal "
+                                                   rf"range at step {step}$"):
+            neutral_orbit(MapParams(a), 10000)
 
 
 class TestContractionFactor:

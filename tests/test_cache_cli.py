@@ -131,6 +131,24 @@ class TestCli:
         assert main(DENS_ARGS + ["--out", str(tmp_path / "d2.csv")]) == 0
         assert json.loads(record.read_text())["schema_version"] == SCHEMA_VERSION
 
+    @pytest.mark.parametrize("field", ["node", "alpha"])
+    def test_mismatched_record_is_recomputed(self, cache_env, tmp_path, capsys, field):
+        # a record under the request's key but of other nodes or another
+        # alpha (a copied file, or a mesh change without a schema bump)
+        assert main(DENS_ARGS + ["--out", str(tmp_path / "d1.csv")]) == 0
+        (record,) = (cache_env / "cache").glob("density-*.json")
+        good = record.read_text()
+        stored = json.loads(good)
+        if field == "node":
+            stored["density"]["mesh"]["nodes"][5] *= 1.0 + 1e-9
+        else:
+            stored["alpha"] = 0.25
+        record.write_text(json.dumps(stored))
+        assert DensityCache(record.parent).get(record.stem[len("density-"):]) is not None
+        assert main(DENS_ARGS + ["--out", str(tmp_path / "d2.csv")]) == 0
+        assert record.read_text() == good
+        assert (tmp_path / "d1.csv").read_bytes() == (tmp_path / "d2.csv").read_bytes()
+
     def test_density_json_format(self, cache_env, tmp_path, capsys):
         out = tmp_path / "d.json"
         assert main(DENS_ARGS + ["--format", "json", "--out", str(out)]) == 0
@@ -300,6 +318,22 @@ class TestCli:
             assert np.all(np.isfinite([float(v) for v in line.split(",")]))
         stats = json.loads((tmp_path / "P_stats.json").read_text())
         assert stats["neutral_orbit"]["upper_ok"] is True
+
+    def test_decay_small_alpha(self, cache_env, tmp_path, capsys):
+        # the orbit's bound constant 2^(1/a^2 + 1/a) is past the double range
+        args = ["decay", "--method", "montecarlo", "--N", "20", "--orbits", "16",
+                "--orbit-len", "1024", "--burn-in", "64"]
+        assert main(args + ["--alpha", "0.02", "--ell-max", "100",
+                            "--out", str(tmp_path / "P")]) == 0
+        lines = (tmp_path / "P_orbit.csv").read_text().splitlines()
+        assert lines[2] == "1,0.5,inf,1.0" and len(lines) == 102
+        stats = json.loads((tmp_path / "P_stats.json").read_text())
+        assert stats["neutral_orbit"]["upper_ok"] is True
+        # at alpha = 1e-4 the orbit leaves the normal range: a numerical failure
+        assert main(args + ["--alpha", "1e-4", "--ell-max", "10000",
+                            "--out", str(tmp_path / "Q")]) == 2
+        assert "leaves the normal range at step 1049" in capsys.readouterr().err
+        assert not list(tmp_path.glob("Q_*"))
 
     @pytest.mark.parametrize("methods", ["bogus", ","])
     def test_response_unknown_method_exit1(self, cache_env, tmp_path, capsys, methods):

@@ -23,6 +23,7 @@ from pmlab import (
     build_mesh,
     build_ulam,
     compute_density,
+    correlation_decay,
     default_cone_params,
     integrate,
     invariance_experiment,
@@ -266,8 +267,6 @@ def _kernel(p, mesh):
 
 def _entries(L, k):
     """(cols, weights) of a gather or CSR operator, in rows of k."""
-    if isinstance(L, _Gather):
-        return L.cols.reshape(-1, k), L.weights.reshape(-1, k)
     return L.indices.reshape(-1, k), L.data.reshape(-1, k)
 
 
@@ -314,13 +313,13 @@ class TestPullbackData:
             assert (G @ u).tobytes() == (P @ u).tobytes()
 
     def test_kernel_is_the_preimage_sum_in_rows_of_4(self, p3, mesh3, mesh_csr):
-        # A at s = 0 has row scales exp(0) = 1.0: its row i is node i's read
-        # at g, then at r, and the kernel reads those entries in place
+        # row i of A is node i's read at g, then at r, and the kernel reads
+        # those entries in place
         rng = np.random.default_rng(17)
         for mesh in (mesh3, mesh_csr):
             x, n = mesh.nodes, mesh.size
             P = _kernel(p3, mesh)
-            cols, w = _entries(mesh._cache[("L", p3.alpha, 0.0, True)], 8)
+            cols, w = _entries(transfer._A(p3, mesh), 8)
             kcols, kw = _entries(P, 4)
             assert kcols.shape == (2 * n, 4)
             assert np.shares_memory(kcols, cols) and np.shares_memory(kw, w)
@@ -345,12 +344,12 @@ class TestPullbackData:
         a = p3.alpha
         ops = {k for k, v in mesh._cache.items()
                if isinstance(v, _Gather) or hasattr(v, "format")}
-        assert ops == {("L", a, a, False), ("L", a, 0.0, True), ("pullbacks", a)}
-        (cols, w), (kcols, kw) = (_entries(mesh._cache[("L", a, 0.0, True)], 8),
+        assert ops == {("L", a, a), ("A", a), ("pullbacks", a)}
+        (cols, w), (kcols, kw) = (_entries(mesh._cache[("A", a)], 8),
                                   _entries(mesh._cache[("pullbacks", a)], 4))
         assert np.shares_memory(kcols, cols) and np.shares_memory(kw, w)
         # L of the density shares A's columns, and keeps its own scaled weights
-        lcols, lw = _entries(mesh._cache[("L", a, a, False)], 8)
+        lcols, lw = _entries(mesh._cache[("L", a, a)], 8)
         assert np.shares_memory(lcols, cols) and not np.shares_memory(lw, w)
 
     def test_jet_level0_is_apply_L_exactly(self, p3, mesh3):
@@ -372,8 +371,8 @@ class TestPullbackData:
 
 
 class TestAssembledStep:
-    """Every L^k loop steps through one assembled operator per (alpha, s,
-    preimage_sum): 8 entries a row, a numpy gather or CSR by mesh size."""
+    """Every L^k loop applies one matrix, L_s per (alpha, s) or A per alpha:
+    8 entries a row, a numpy gather or CSR by mesh size."""
 
     @pytest.fixture(scope="class")
     def rho_csr(self, p3, mesh_csr):
@@ -383,31 +382,33 @@ class TestAssembledStep:
         rng = np.random.default_rng(15)
         for mesh, rho in ((mesh3, rec3.density), (mesh_csr, rho_csr)):
             gp = _g_chain(p3, mesh.nodes, 1)[1]
-            for s in (0.0, p3.alpha):
-                for preimage_sum in (False, True):
-                    step = transfer._step(p3, mesh, s, preimage_sum)
-                    L = mesh._cache[("L", p3.alpha, s, preimage_sum)]
-                    if mesh.size < _CSR_MIN_NODES:
-                        assert L.cols.shape == (mesh.size, 8)
-                    else:
-                        assert L.format == "csr" and L.nnz == 8 * mesh.size
-                    for u in (rho.values, rng.uniform(0.5, 2.0, mesh.size)):
-                        wg, wr = transfer._pullback(p3, mesh, s, u)
-                        kernel = wg + wr if preimage_sum else gp * wg + 0.5 * wr
-                        assert _rel_gap(step(u), kernel) <= 2e-15
+            # A has no singular factor: its only exponent is 0
+            for s, L, is_A in ((0.0, transfer._L(p3, mesh, 0.0), False),
+                               (p3.alpha, transfer._L(p3, mesh, p3.alpha), False),
+                               (0.0, transfer._A(p3, mesh), True)):
+                assert isinstance(L, _Gather) == (mesh.size < _CSR_MIN_NODES)
+                assert L.data.shape == L.indices.shape == (8 * mesh.size,)
+                for u in (rho.values, rng.uniform(0.5, 2.0, mesh.size)):
+                    wg, wr = transfer._pullback(p3, mesh, s, u)
+                    kernel = wg + wr if is_A else gp * wg + 0.5 * wr
+                    assert _rel_gap(L @ u, kernel) <= 2e-15
 
     def test_gather_equals_csr_step_bitwise(self, p3, mesh_csr, monkeypatch):
         rng = np.random.default_rng(16)
         n = mesh_csr.size
-        for s, preimage_sum in ((p3.alpha, False), (0.0, True)):
-            step = transfer._step(p3, mesh_csr, s, preimage_sum)
+        # the gather is assembled on a copy of the mesh with an empty cache
+        fresh = dataclasses.replace(mesh_csr, _cache={})
+        for build in (lambda mesh: transfer._L(p3, mesh, p3.alpha),
+                      lambda mesh: transfer._A(p3, mesh)):
+            P = build(mesh_csr)
             with monkeypatch.context() as m:
                 m.setattr(grid, "_CSR_MIN_NODES", n + 1)
-                G = transfer._assemble(p3, mesh_csr, s, preimage_sum)
+                G = build(fresh)
+            assert P.format == "csr"
             assert isinstance(G, _Gather) and G.cols.shape == (n, 8)
             for u in (rng.standard_normal(n), -np.abs(rng.standard_normal(n)),
                       np.full(n, -0.0)):
-                assert (G @ u).tobytes() == step(u).tobytes()
+                assert (G @ u).tobytes() == (P @ u).tobytes()
 
     def test_loops_do_not_read_the_kernel(self, p3, mesh3, mesh_csr, rec3, monkeypatch):
         calls = []
@@ -430,7 +431,23 @@ class TestAssembledStep:
         mesh = build_mesh(p3, 8192, 100, 1e-6)
         compute_density(p3, mesh, tol=1e-6)
         assert ("pullbacks", p3.alpha) not in mesh._cache
-        assert mesh._cache[("L", p3.alpha, p3.alpha, False)].nnz == 8 * mesh.size
+        assert ("A", p3.alpha) not in mesh._cache
+        assert mesh._cache[("L", p3.alpha, p3.alpha)].nnz == 8 * mesh.size
+
+
+@pytest.mark.parametrize("use", [
+    lambda p, rec: response_series(p, rec, "cos", K=8),
+    lambda p, rec: response_series_forward(p, rec, "cos", K=8),
+    lambda p, rec: susceptibility(p, rec, "cos", 0.5, 8),
+    lambda p, rec: correlation_decay(p, rec, "x", "x", 8),
+    lambda p, rec: default_cone_params(p, rec, k_max=3),
+    lambda p, rec: invariance_experiment(
+        p, "C2", default_cone_params(rec.params, rec, k_max=3), 3, rec),
+], ids=["response_series", "response_series_forward", "susceptibility",
+        "correlation_decay", "default_cone_params", "invariance_experiment"])
+def test_density_of_another_alpha_is_refused(rec3, use):
+    with pytest.raises(ValueError, match=r"alpha=0\.3 used at alpha=0\.4"):
+        use(MapParams(0.4), rec3)
 
 
 class TestComputeDensity:
