@@ -1,9 +1,10 @@
 """Disk cache for invariant-density records.
 
-Records are JSON files keyed by SHA-256 of (alpha, mesh parameters, tol,
-schema version); writes go through a temporary file and an atomic rename,
-so concurrent readers never observe partial files (single-writer,
-multi-reader discipline).
+Records are JSON files keyed by SHA-256 of (schema version, alpha, tol) and
+the bytes of the mesh nodes; a record holds the density's values, no mesh,
+and ``get`` puts them on the caller's mesh.  Writes go through a temporary
+file and an atomic rename, so concurrent readers never observe partial files
+(single-writer, multi-reader discipline).
 """
 
 import hashlib
@@ -13,7 +14,7 @@ import tempfile
 from pathlib import Path
 
 from .maps import MapParams
-from .grid import gridfunction_from_dict, gridfunction_to_dict
+from .grid import GridFunction, Mesh
 from .transfer import DensityRecord
 
 __all__ = [
@@ -29,23 +30,19 @@ SCHEMA_VERSION = 2
 _ENV_VAR = "PMLAB_CACHE_DIR"
 
 
-def cache_key(alpha: float, mesh_spec: dict, tol: float) -> str:
-    """SHA-256 over the canonical (alpha, mesh parameters, tol, schema)."""
-    payload = {
-        "schema": SCHEMA_VERSION,
-        "alpha": float(alpha),
-        "mesh": {k: mesh_spec[k] for k in sorted(mesh_spec)},
-        "tol": float(tol),
-    }
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()
+def cache_key(alpha: float, mesh: Mesh, tol: float) -> str:
+    """SHA-256 over the canonical (schema, alpha, tol) and the node bytes."""
+    head = {"schema": SCHEMA_VERSION, "alpha": float(alpha), "tol": float(tol)}
+    h = hashlib.sha256(json.dumps(head, sort_keys=True, separators=(",", ":")).encode())
+    h.update(mesh.nodes.tobytes())
+    return h.hexdigest()
 
 
 def density_record_to_dict(rec: DensityRecord) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
         "alpha": rec.params.alpha,
-        "density": gridfunction_to_dict(rec.density),
+        "values": rec.density.values.tolist(),
         "iterations": rec.iterations,
         "residual": rec.residual,
         "normalization": rec.normalization,
@@ -54,12 +51,13 @@ def density_record_to_dict(rec: DensityRecord) -> dict:
     }
 
 
-def density_record_from_dict(d: dict) -> DensityRecord:
+def density_record_from_dict(d: dict, mesh: Mesh) -> DensityRecord:
     if d.get("schema_version") != SCHEMA_VERSION:
         raise ValueError(f"unsupported schema version {d.get('schema_version')!r}")
+    p = MapParams(d["alpha"])
     return DensityRecord(
-        params=MapParams(d["alpha"]),
-        density=gridfunction_from_dict(d["density"]),
+        params=p,
+        density=GridFunction(mesh, d["values"], p.alpha),
         iterations=int(d["iterations"]),
         residual=float(d["residual"]),
         normalization=float(d["normalization"]),
@@ -86,15 +84,19 @@ class DensityCache:
     def path(self, key: str) -> Path:
         return self.root / f"density-{key}.json"
 
-    def get(self, key: str) -> DensityRecord | None:
-        """The stored record, or None (a miss) if it is missing, truncated,
-        malformed or not converged; the next ``put`` replaces it atomically."""
+    def get(self, key: str, mesh: Mesh) -> DensityRecord | None:
+        """The stored record on ``mesh``, or None (a miss) if it is missing,
+        malformed, of another schema or key (a copied file), does not fit the
+        mesh or did not converge; the next ``put`` replaces it atomically."""
         path = self.path(key)
         if not path.exists():
             return None
         try:
             with open(path) as fh:
-                rec = density_record_from_dict(json.load(fh))
+                d = json.load(fh)
+            if d.get("key") != key:
+                return None
+            rec = density_record_from_dict(d, mesh)
         except (ValueError, KeyError, TypeError, AttributeError):
             return None
         return rec if rec.converged else None
@@ -102,7 +104,7 @@ class DensityCache:
     def put(self, key: str, rec: DensityRecord) -> Path:
         self.root.mkdir(parents=True, exist_ok=True)
         path = self.path(key)
-        payload = json.dumps(density_record_to_dict(rec))
+        payload = json.dumps({**density_record_to_dict(rec), "key": key})
         fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
         try:
             with os.fdopen(fd, "w") as fh:

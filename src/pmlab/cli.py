@@ -145,22 +145,21 @@ def _emit(path, cfg, header, rows, json_payload):
 def _get_density(cfg, alpha=None):
     """Cache-backed density for the configured mesh.
 
-    Only converged records are stored, and the cache serves no other (a
-    stored unconverged one, from an older version, is a miss): ``max_iter``
-    is not part of the key.  Nor does it serve a record of another alpha,
-    tol or mesh nodes than the request's (a copied file, or a mesh change
-    without a schema bump): that is a miss too, recomputed and overwritten.
-    A recomputed record may still be unconverged; callers gate it with
-    ``rec.require_converged()``.
+    The key hashes the mesh nodes, so a changed mesh is a new key.  Only
+    converged records are stored, and the cache serves no other (a stored
+    unconverged one, from an older version, is a miss): ``max_iter`` is not
+    part of the key.  Nor does it serve a copied file, or a record of
+    another alpha or tol than the request's: that is a miss too, recomputed
+    and overwritten.  A recomputed record may still be unconverged; callers
+    gate it with ``rec.require_converged()``.
     """
     alpha = cfg["alpha"] if alpha is None else alpha
     p = MapParams(alpha)
     mesh = build_mesh(p, cfg["mesh"], cfg["orbit_points"], cfg["x_min"])
-    key = cache_key(alpha, mesh.spec(), cfg["tol"])
+    key = cache_key(alpha, mesh, cfg["tol"])
     cache = DensityCache(resolve_cache_dir(cfg["cache_dir"]))
-    rec = cache.get(key)
-    if (rec is None or rec.params != p or rec.tol != cfg["tol"]
-            or not np.array_equal(rec.density.mesh.nodes, mesh.nodes)):
+    rec = cache.get(key, mesh)
+    if rec is None or rec.params != p or rec.tol != cfg["tol"]:
         rec = compute_density(p, mesh, tol=cfg["tol"], max_iter=cfg["max_iter"])
         if rec.converged:
             cache.put(key, rec)
@@ -182,7 +181,7 @@ def cmd_density(cfg) -> int:
         cfg["out"], cfg,
         ["x", "rho", "envelope_ratio"],
         rows,
-        {"record": density_record_to_dict(rec), "cache_key": key,
+        {"record": density_record_to_dict(rec), "nodes": x.tolist(), "cache_key": key,
          "envelope": {"c1": c1, "c2": c2}},
     )
     print(
@@ -378,6 +377,8 @@ def _parse_alphas(spec: str) -> list[float]:
             a, b, step = (float(t) for t in spec.split(":"))
         except ValueError:
             raise ValueError(f"sweep: --alphas must be start:stop:step, got {spec!r}") from None
+        if not all(map(math.isfinite, (a, b, step))):
+            raise ValueError(f"sweep: --alphas start, stop and step must be finite, got {spec!r}")
         if not step > 0.0:
             raise ValueError(f"sweep: --alphas step must be > 0, got {step:g}")
         # every a + i step up to b; the slack keeps b when (b - a) / step rounds low

@@ -23,7 +23,8 @@ as the mesh.
 Meshes are built as the union of the neutral-orbit points g_a^l(1), a
 geometric refinement down to ``x_min`` and a polynomially graded bulk; below
 ``x_min`` the regular factor u is extended as a constant and the quadrature
-adds the analytic tail integral.
+adds the analytic tail integral.  A mesh is its nodes: it keeps none of the
+parameters it was built from, and the density cache hashes its node bytes.
 """
 
 import math
@@ -44,10 +45,6 @@ __all__ = [
     "l1_norm",
     "fd_weights",
     "derivatives_full",
-    "mesh_to_dict",
-    "mesh_from_dict",
-    "gridfunction_to_dict",
-    "gridfunction_from_dict",
 ]
 
 _GEO_POINTS_PER_DECADE = 24
@@ -55,20 +52,15 @@ _GEO_POINTS_PER_DECADE = 24
 
 @dataclass(frozen=True, eq=False)
 class Mesh:
-    """Sorted node set in (0, 1] with grading metadata.
+    """Sorted node set in (0, 1]: a mesh is its nodes, ``nodes[0] == x_min``
+    and ``nodes[-1] == 1``.
 
-    ``nodes[0] == x_min`` and ``nodes[-1] == 1``.  The first ``orbit_len``
-    points of the neutral orbit x_l = g_a^l(1) for ``built_for_alpha`` are
-    node values.  Meshes compare and hash by identity; grid functions only
-    combine when they share the same Mesh object.
+    It keeps no record of how it was built; the density cache tells meshes
+    apart by the bytes of their nodes.  Meshes compare and hash by identity;
+    grid functions only combine when they share the same Mesh object.
     """
 
     nodes: np.ndarray
-    grading_exponent: float
-    x_min: float
-    built_for_alpha: float
-    orbit_len: int
-    n_request: int
     _cache: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
@@ -83,6 +75,10 @@ class Mesh:
             raise ValueError("Mesh: nodes must lie in (0, 1] and end at 1")
         nodes.setflags(write=False)
         object.__setattr__(self, "nodes", nodes)
+
+    @property
+    def x_min(self) -> float:
+        return float(self.nodes[0])
 
     @property
     def size(self) -> int:
@@ -118,16 +114,6 @@ class Mesh:
             return _frozen(q)
 
         return self.cached(("quad", float(s)), build)
-
-    def spec(self) -> dict:
-        return {
-            "n": int(self.n_request),
-            "orbit_len": int(self.orbit_len),
-            "x_min": float(self.x_min),
-            "alpha": float(self.built_for_alpha),
-            "grading_exponent": float(self.grading_exponent),
-            "size": int(self.size),
-        }
 
 
 def _frozen(*arrays):
@@ -165,8 +151,9 @@ def build_mesh(p: MapParams, n: int, L: int, x_min: float = 1e-10) -> Mesh:
         raise ValueError("build_mesh: n must be >= 64")
     if L < 1:
         raise ValueError("build_mesh: L must be >= 1")
-    if not (0.0 < x_min < 0.5):
-        raise ValueError("build_mesh: x_min must lie in (0, 1/2)")
+    # below 1e-300 the ladder's decade count and the Hermite slopes overflow
+    if not (1e-300 <= x_min < 0.5):
+        raise ValueError(f"build_mesh: x_min must lie in [1e-300, 1/2), got {x_min:g}")
     a = p.alpha
     gamma = max(2.0, 2.0 / (1.0 - a))
 
@@ -177,7 +164,6 @@ def build_mesh(p: MapParams, n: int, L: int, x_min: float = 1e-10) -> Mesh:
         if x <= x_min:
             break
         orbit.append(x)
-    orbit_len = len(orbit) - 1  # number of points beyond x_0 = 1
 
     # every kept orbit point lies above x_min, so the ladder spans > 0 decades
     lo = min(orbit[-1], 0.5)
@@ -221,14 +207,7 @@ def build_mesh(p: MapParams, n: int, L: int, x_min: float = 1e-10) -> Mesh:
     nodes[0] = x_min
     nodes[-1] = 1.0
     nodes = np.unique(nodes)
-    return Mesh(
-        nodes=nodes,
-        grading_exponent=gamma,
-        x_min=float(x_min),
-        built_for_alpha=a,
-        orbit_len=orbit_len,
-        n_request=int(n),
-    )
+    return Mesh(nodes)
 
 
 @dataclass(frozen=True, eq=False)
@@ -573,39 +552,3 @@ def derivatives_full(f: GridFunction, order: int):
             fall *= -f.s - j
         out.append(acc * xs)
     return out
-
-
-# ---------------------------------------------------------------------------
-# Serialization (JSON-friendly dictionaries)
-# ---------------------------------------------------------------------------
-
-
-def mesh_to_dict(mesh: Mesh) -> dict:
-    return {
-        "nodes": mesh.nodes.tolist(),
-        "grading_exponent": mesh.grading_exponent,
-        "x_min": mesh.x_min,
-        "built_for_alpha": mesh.built_for_alpha,
-        "orbit_len": mesh.orbit_len,
-        "n_request": mesh.n_request,
-    }
-
-
-def mesh_from_dict(d: dict) -> Mesh:
-    return Mesh(
-        nodes=np.asarray(d["nodes"], dtype=float),
-        grading_exponent=float(d["grading_exponent"]),
-        x_min=float(d["x_min"]),
-        built_for_alpha=float(d["built_for_alpha"]),
-        orbit_len=int(d["orbit_len"]),
-        n_request=int(d["n_request"]),
-    )
-
-
-def gridfunction_to_dict(f: GridFunction) -> dict:
-    return {"mesh": mesh_to_dict(f.mesh), "s": f.s, "values": f.values.tolist(), "meta": {}}
-
-
-def gridfunction_from_dict(d: dict) -> GridFunction:
-    return GridFunction(mesh_from_dict(d["mesh"]), np.asarray(d["values"], dtype=float),
-                        float(d["s"]))

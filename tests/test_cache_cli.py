@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pmlab import MapParams, build_mesh, cli, compute_density
+from pmlab import MapParams, Mesh, build_mesh, cli, compute_density
 from pmlab.cache import (
     SCHEMA_VERSION,
     DensityCache,
@@ -32,19 +32,25 @@ class TestCache:
     def test_key_stability_and_sensitivity(self):
         p = MapParams(0.3)
         mesh = build_mesh(p, 128, 16, 1e-6)
-        k1 = cache_key(0.3, mesh.spec(), 1e-8)
-        k2 = cache_key(0.3, mesh.spec(), 1e-8)
+        k1 = cache_key(0.3, mesh, 1e-8)
+        k2 = cache_key(0.3, build_mesh(p, 128, 16, 1e-6), 1e-8)
         assert k1 == k2 and len(k1) == 64
-        assert cache_key(0.31, mesh.spec(), 1e-8) != k1
-        assert cache_key(0.3, mesh.spec(), 1e-9) != k1
+        assert cache_key(0.31, mesh, 1e-8) != k1
+        assert cache_key(0.3, mesh, 1e-9) != k1
+        # a nudged node gives another key
+        nodes = mesh.nodes.copy()
+        nodes[5] *= 1.0 + 1e-12
+        assert cache_key(0.3, Mesh(nodes), 1e-8) != k1
 
     def test_record_round_trip(self):
         p = MapParams(0.2)
         mesh = build_mesh(p, 128, 16, 1e-6)
         rec = compute_density(p, mesh, tol=1e-8)
         d = json.loads(json.dumps(density_record_to_dict(rec)))
-        back = density_record_from_dict(d)
-        assert back.params.alpha == 0.2
+        assert "mesh" not in d and "nodes" not in d
+        back = density_record_from_dict(d, mesh)
+        assert back.params.alpha == 0.2 and back.density.mesh is mesh
+        assert back.density.s == rec.density.s
         assert back.iterations == rec.iterations
         assert back.converged == rec.converged
         assert np.array_equal(back.density.values, rec.density.values)
@@ -54,25 +60,31 @@ class TestCache:
         mesh = build_mesh(p, 128, 16, 1e-6)
         rec = compute_density(p, mesh, tol=1e-8)
         cache = DensityCache(tmp_path / "c")
-        key = cache_key(0.2, mesh.spec(), 1e-8)
-        assert cache.get(key) is None
+        key = cache_key(0.2, mesh, 1e-8)
+        assert cache.get(key, mesh) is None
         path = cache.put(key, rec)
         assert path.exists()
-        again = cache.get(key)
+        again = cache.get(key, mesh)
         assert again is not None and again.iterations == rec.iterations
         assert not list(path.parent.glob("*.tmp"))
+        # values that do not fit the caller's mesh are a miss
+        assert cache.get(key, build_mesh(p, 256, 16, 1e-6)) is None
+        # so is a file copied under another key, though it fits the mesh
+        other = cache_key(0.2, mesh, 1e-9)
+        cache.path(other).write_bytes(path.read_bytes())
+        assert cache.get(other, mesh) is None
 
     def test_unconverged_record_is_a_miss(self, tmp_path):
         p = MapParams(0.2)
         mesh = build_mesh(p, 128, 16, 1e-6)
         rec = compute_density(p, mesh, tol=1e-8)
         cache = DensityCache(tmp_path / "c")
-        key = cache_key(0.2, mesh.spec(), 1e-8)
+        key = cache_key(0.2, mesh, 1e-8)
         path = cache.put(key, rec)
         stored = json.loads(path.read_text())
         stored["residual"] = 2.0 * stored["tol"]
         path.write_text(json.dumps(stored))
-        assert cache.get(key) is None
+        assert cache.get(key, mesh) is None
 
     def test_resolve_dir_precedence(self, monkeypatch, tmp_path):
         monkeypatch.setenv("PMLAB_CACHE_DIR", str(tmp_path / "env"))
@@ -84,6 +96,11 @@ class TestCache:
 
 DENS_ARGS = ["density", "--alpha", "0", "--mesh", "256", "--orbit-points", "16",
              "--x-min", "1e-8"]
+
+
+def _dens_mesh():
+    """The mesh of DENS_ARGS."""
+    return build_mesh(MapParams(0.0), 256, 16, 1e-8)
 
 
 class TestCli:
@@ -116,7 +133,8 @@ class TestCli:
         assert main(DENS_ARGS + ["--out", str(tmp_path / "d1.csv")]) == 0
         (record,) = (cache_env / "cache").glob("density-*.json")
         record.write_bytes(record.read_bytes()[:200])
-        assert DensityCache(record.parent).get(record.stem[len("density-"):]) is None
+        assert DensityCache(record.parent).get(record.stem[len("density-"):],
+                                               _dens_mesh()) is None
         assert main(DENS_ARGS + ["--out", str(tmp_path / "d2.csv")]) == 0
         assert json.loads(record.read_text())["converged"] is True
         assert (tmp_path / "d1.csv").read_bytes() == (tmp_path / "d2.csv").read_bytes()
@@ -127,27 +145,83 @@ class TestCli:
         stored = json.loads(record.read_text())
         stored["schema_version"] = 1  # a record of the PCHIP-slope operator
         record.write_text(json.dumps(stored))
-        assert DensityCache(record.parent).get(record.stem[len("density-"):]) is None
+        assert DensityCache(record.parent).get(record.stem[len("density-"):],
+                                               _dens_mesh()) is None
         assert main(DENS_ARGS + ["--out", str(tmp_path / "d2.csv")]) == 0
         assert json.loads(record.read_text())["schema_version"] == SCHEMA_VERSION
 
-    @pytest.mark.parametrize("field", ["node", "alpha"])
+    @pytest.mark.parametrize("field", ["node", "alpha", "tol"])
     def test_mismatched_record_is_recomputed(self, cache_env, tmp_path, capsys, field):
-        # a record under the request's key but of other nodes or another
-        # alpha (a copied file, or a mesh change without a schema bump)
+        # node: a record copied over from another mesh's file is a miss;
+        # alpha, tol: a record edited under the request's key is served by
+        # the cache but refused by the command
         assert main(DENS_ARGS + ["--out", str(tmp_path / "d1.csv")]) == 0
         (record,) = (cache_env / "cache").glob("density-*.json")
         good = record.read_text()
-        stored = json.loads(good)
+        cache = DensityCache(record.parent)
+        key = record.stem[len("density-"):]
         if field == "node":
-            stored["density"]["mesh"]["nodes"][5] *= 1.0 + 1e-9
+            assert main(DENS_ARGS + ["--mesh", "512", "--out", str(tmp_path / "d3.csv")]) == 0
+            (other,) = set(record.parent.glob("density-*.json")) - {record}
+            record.write_bytes(other.read_bytes())
+            assert cache.get(key, _dens_mesh()) is None
         else:
-            stored["alpha"] = 0.25
-        record.write_text(json.dumps(stored))
-        assert DensityCache(record.parent).get(record.stem[len("density-"):]) is not None
+            stored = json.loads(good)
+            stored[field] = 0.25 if field == "alpha" else 10.0 * stored["tol"]
+            record.write_text(json.dumps(stored))
+            assert cache.get(key, _dens_mesh()) is not None
         assert main(DENS_ARGS + ["--out", str(tmp_path / "d2.csv")]) == 0
         assert record.read_text() == good
         assert (tmp_path / "d1.csv").read_bytes() == (tmp_path / "d2.csv").read_bytes()
+
+    @pytest.mark.parametrize("mesh", ["256", "8192"])  # the gather and the CSR form
+    def test_second_run_is_a_cache_hit(self, cache_env, tmp_path, capsys, monkeypatch,
+                                       mesh):
+        calls, solve = [], cli.compute_density
+        monkeypatch.setattr(cli, "compute_density",
+                            lambda *a, **k: calls.append(a) or solve(*a, **k))
+        args = ["density", "--mesh", mesh, "--orbit-points", "32"]
+        assert main(args + ["--out", str(tmp_path / "d1.csv")]) == 0
+        assert main(args + ["--out", str(tmp_path / "d2.csv")]) == 0
+        assert len(calls) == 1
+        assert (tmp_path / "d1.csv").read_bytes() == (tmp_path / "d2.csv").read_bytes()
+
+    def test_changed_mesh_is_a_new_key(self, cache_env, tmp_path, capsys, monkeypatch):
+        # the nodes are in the key: a change to build_mesh needs no schema bump
+        assert main(DENS_ARGS + ["--out", str(tmp_path / "d1.csv")]) == 0
+        (record,) = (cache_env / "cache").glob("density-*.json")
+        build, solve, calls = cli.build_mesh, cli.compute_density, []
+
+        def nudged(*a, **k):
+            nodes = build(*a, **k).nodes.copy()
+            nodes[5] *= 1.0 + 1e-12
+            return Mesh(nodes)
+
+        monkeypatch.setattr(cli, "build_mesh", nudged)
+        monkeypatch.setattr(cli, "compute_density",
+                            lambda *a, **k: calls.append(a) or solve(*a, **k))
+        assert main(DENS_ARGS + ["--out", str(tmp_path / "d2.csv")]) == 0
+        assert len(calls) == 1
+        records = set(record.parent.glob("density-*.json"))
+        assert len(records) == 2 and record in records
+
+    @pytest.mark.parametrize("x_min", ["1e-307", "1e-320"])
+    def test_tiny_x_min_exit1(self, cache_env, tmp_path, capsys, x_min):
+        # below 1e-300 the mesh's decade count and the Hermite slopes overflow
+        out = tmp_path / "d.csv"
+        assert main(["density", "--x-min", x_min, "--mesh", "256", "--orbit-points", "16",
+                     "--out", str(out)]) == 1
+        assert "pmlab: error: build_mesh: x_min must lie in" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("spec", ["0.1:inf:0.1", "0.1:nan:0.1", "0.1:0.2:inf",
+                                      "nan:0.2:0.1"])
+    def test_sweep_non_finite_alphas_exit1(self, cache_env, tmp_path, capsys, spec):
+        out = tmp_path / "s.csv"
+        assert main(["sweep", "--alphas", spec, "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("pmlab: error:") and "--alphas" in err[0]
+        assert not out.exists()
 
     def test_density_json_format(self, cache_env, tmp_path, capsys):
         out = tmp_path / "d.json"

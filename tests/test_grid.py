@@ -1,7 +1,5 @@
 """Graded meshes, weighted quadrature, differentiation, interpolation."""
 
-import json
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,13 +8,9 @@ from pmlab import MapParams, GridFunction, build_mesh, evaluate, grid
 from pmlab.grid import (
     differentiate,
     derivatives_full,
-    gridfunction_from_dict,
-    gridfunction_to_dict,
     integrate,
     integrate_to,
     l1_norm,
-    mesh_from_dict,
-    mesh_to_dict,
     u_derivatives_stencil,
 )
 from pmlab.maps import branch_inverse
@@ -59,9 +53,14 @@ class TestBuildMesh:
 
     def test_orbit_clipped_at_x_min(self):
         # requesting more orbit points than fit above x_min truncates
-        m = build_mesh(MapParams(0.1), 128, 100, 1e-4)
-        assert m.orbit_len < 100
+        p = MapParams(0.1)
+        m = build_mesh(p, 128, 100, 1e-4)
         assert np.all(m.nodes >= 1e-4)
+        orbit = [1.0]
+        while orbit[-1] > 1e-4:
+            orbit.append(branch_inverse(p, orbit[-1]))
+        assert len(orbit) - 1 < 100  # the last point is below x_min
+        assert np.all(np.isin(orbit[:-1], m.nodes))
 
     def test_size_validation(self):
         with pytest.raises(ValueError):
@@ -75,8 +74,9 @@ class TestBuildMesh:
         assert ratios.min() > 0.2 and ratios.max() < 5.0
 
     def test_grading_exponent(self):
-        assert build_mesh(MapParams(0.0), 128, 8, 1e-6).grading_exponent == 2.0
-        assert build_mesh(MapParams(0.5), 128, 8, 1e-6).grading_exponent == 4.0
+        # the graded bulk is (i/n)^gamma, gamma = max(2, 2/(1-alpha))
+        assert build_mesh(MapParams(0.0), 128, 8, 1e-6).nodes[-2] == (127 / 128) ** 2.0
+        assert build_mesh(MapParams(0.5), 128, 8, 1e-6).nodes[-2] == (127 / 128) ** 4.0
 
 
 class TestIntegrate:
@@ -315,22 +315,6 @@ class TestStencils:
         d = u_derivatives_stencil(m, np.full(m.size, 2.5), 3, 5)
         for arr in d:
             assert np.max(np.abs(arr)) == 0.0
-
-
-class TestSerialization:
-    def test_mesh_round_trip(self, mesh):
-        d = json.loads(json.dumps(mesh_to_dict(mesh)))
-        m2 = mesh_from_dict(d)
-        assert np.array_equal(m2.nodes, mesh.nodes)
-        assert m2.x_min == mesh.x_min and m2.orbit_len == mesh.orbit_len
-
-    def test_gridfunction_round_trip(self, mesh, rng):
-        f = GridFunction(mesh, rng.uniform(0, 1, mesh.size), 0.25)
-        d = json.loads(json.dumps(gridfunction_to_dict(f)))
-        f2 = gridfunction_from_dict(d)
-        assert np.array_equal(f2.values, f.values)
-        assert f2.s == f.s
-        assert d["meta"] == {}
 
 
 class TestEvaluateRefinement:
